@@ -11,12 +11,15 @@ Workloads (see BENCHMARK.json for why each was chosen):
 
 Each round starts a fresh interpreter (worker.py), so every module cache is
 empty; ``clear_cache()`` would not do, since identities._DELTA_MEMO has no
-clearing function.  Rounds repeat on identical seeded inputs until
-``--seconds`` have passed.  With ``--trace 0`` the end-to-end metrics of
-BENCHMARK.json are reported; with ``--trace 1`` untraced and traced rounds
-alternate and the per-layer metrics are reported.  Human-readable lines come
-first; the last stdout line is the JSON result.  A full record (seed, input
-digest, machine facts, every round) is written to perfbench/results/.
+clearing function.  Set-up spawns, then rounds on identical seeded inputs,
+run until ``--seconds`` have passed.  Times are in reference seconds: each
+is scaled by the speed of the core at that moment, gauged by the reference
+loop of probe.py, because on a shared host that speed wanders by ~1.8x.
+With ``--trace 0`` the end-to-end metrics of BENCHMARK.json are reported;
+with ``--trace 1`` untraced and traced rounds alternate and the per-layer
+metrics are reported.  Human-readable lines come first; the last stdout
+line is the JSON result.  A full record (seed, input digest, machine facts,
+every round) is written to perfbench/results/.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import subprocess
 import sys
 import time
 
+import probe
 import workloads
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -99,21 +103,33 @@ def machine() -> dict:
 
 
 def measure_setup() -> tuple[list[float], list[str]]:
+    """Spawn-to-import times in reference seconds, scaled by the reference
+    loop the fresh process runs right after the import."""
     samples, errors = [], []
-    for probe in range(SETUP_PROBES + 1):
+    for index in range(SETUP_PROBES + 1):
         result, started, error = spawn("setup", False)
         if result is None:
             errors.append(error)
-        elif probe:
-            samples.append(result["ready"] - started)
+        elif index:
+            samples.append((result["ready"] - started) * probe.REFERENCE_S / result["probe_s"])
     return samples, errors
 
 
-def run_rounds(workload: str, inputs: dict, seconds: float, traced: bool) -> dict:
+def scaled_round(result: dict) -> tuple[list[float], float]:
+    """One round's call times and body time, in reference seconds.  Time
+    outside the calls is scaled by the round's median loop timing."""
+    if not result["probes"]:
+        return [], result["wall_s"]  # the program failed before its first call
+    times = probe.scale(result["lat"], result["probes"])
+    typical = statistics.median(loop for _, loop in result["probes"])
+    outside = max(result["wall_s"] - sum(result["lat"]), 0.0)
+    return times, sum(times) + outside * probe.REFERENCE_S / typical
+
+
+def run_rounds(workload: str, inputs: dict, deadline: float, traced: bool) -> dict:
     payload = json.dumps(inputs)
     plan = (False, True) if traced else (False,)
     rounds, messages = [], []
-    deadline = monotonic() + seconds
     while True:
         for with_trace in plan:
             result, _, error = spawn(workload, with_trace, payload)
@@ -124,16 +140,16 @@ def run_rounds(workload: str, inputs: dict, seconds: float, traced: bool) -> dic
                 continue
             attempted, failed, notes = workloads.check(workload, inputs, result)
             messages.extend(notes)
-            latencies = result["lat"]
-            tail_value, tail_pct = tail(latencies) if latencies else (0.0, 0.0)
+            latencies, wall = scaled_round(result)
             rounds.append({
                 "traced": with_trace, "attempted": attempted, "failed": failed,
-                "wall_s": result["wall_s"], "cpu_s": result["cpu_s"],
+                "wall_s": wall, "raw_wall_s": result["wall_s"], "cpu_s": result["cpu_s"],
                 "maxrss_kb": result["maxrss_kb"],
-                "evals_per_s": (attempted - failed) / result["wall_s"],
-                "latency_samples": len(latencies),
+                "loop_ms": 1000 * statistics.median([loop for _, loop in result["probes"]] or [0]),
+                "loops": len(result["probes"]),
+                "evals_per_s": (attempted - failed) / wall,
                 "p50_ms": 1000 * statistics.median(latencies) if latencies else 0.0,
-                "tail_ms": 1000 * tail_value, "tail_percentile": tail_pct,
+                "tail_ms": 1000 * tail(latencies)[0] if latencies else 0.0,
                 "trace": result.get("trace"), "lat": latencies,
             })
         traced_done = sum(r["traced"] and "wall_s" in r for r in rounds)
@@ -145,52 +161,54 @@ def run_rounds(workload: str, inputs: dict, seconds: float, traced: bool) -> dic
 
 
 def end_to_end(setup: list[float], rounds: list[dict]) -> dict:
-    """Medians over the untraced rounds, except for ``eval_p50_ms``.
+    """Medians over the untraced rounds, all times in reference seconds.
 
-    Every round repeats the same calls on a cold process.  A median call
-    lasts microseconds to milliseconds, so it samples the host's speed at one
-    instant, and on a shared host that flips by ~1.8x every few hundred ms;
-    per-round medians then jump between the two speeds.  ``eval_p50_ms`` is
-    therefore the median over calls of each call's fastest time across the
-    rounds (the per-round medians stay in the record as ``raw_median``).
-    Tail calls and whole rounds span many flips and are steady as measured.
+    ``wall_s`` and ``evals_per_s`` are medians of the rounds' figures.  Every
+    round repeats the same calls in the same order on a cold process, so call
+    i does the same work in every round: ``eval_p50_ms`` and ``eval_tail_ms``
+    are the median and tail over calls of each call's median across rounds.
+    ``raw_median`` in the record is the unscaled median wall time.
     ``peak_rss_mb`` is the mean of the rounds' peaks: a median of whole
     kilobytes would read the same on most runs.
     """
     plain = [r for r in rounds if not r["traced"] and "wall_s" in r]
+    out = {"setup_s": {"value": statistics.median(setup) if setup else 0.0,
+                       "samples": len(setup), "spread": spread(setup)}}
+    if not plain:
+        return out | {name: {"value": 0.0, "samples": 0} for name in
+                      ("wall_s", "evals_per_s", "eval_p50_ms", "eval_tail_ms", "peak_rss_mb")}
 
     def median_of(key):
         values = [r[key] for r in plain]
-        return {"value": statistics.median(values) if values else 0.0,
-                "samples": len(values), "spread": spread(values)}
+        return {"value": statistics.median(values), "samples": len(values),
+                "spread": spread(values)}
 
-    best = [min(times) for times in zip(*(r["lat"] for r in plain))]
-    out = {
-        "setup_s": {"value": statistics.median(setup) if setup else 0.0,
-                    "samples": len(setup), "spread": spread(setup)},
-        "wall_s": median_of("wall_s"),
+    per_call = [statistics.median(times) for times in zip(*(r["lat"] for r in plain))] or [0.0]
+    tail_value, tail_pct = tail(per_call)
+    return out | {
+        "wall_s": median_of("wall_s") | {"raw_median": median_of("raw_wall_s")["value"]},
         "evals_per_s": median_of("evals_per_s"),
-        "eval_p50_ms": {"value": 1000 * statistics.median(best) if best else 0.0,
-                        "samples": len(plain), "raw_median": median_of("p50_ms")["value"]},
-        "eval_tail_ms": median_of("tail_ms"),
-        "peak_rss_mb": {"value": statistics.mean(r["maxrss_kb"] for r in plain) / 1024
-                        if plain else 0.0, "samples": len(plain)},
+        "eval_p50_ms": {"value": 1000 * statistics.median(per_call), "samples": len(plain),
+                        "calls_per_round": len(per_call)},
+        "eval_tail_ms": {"value": 1000 * tail_value, "samples": len(plain),
+                         "calls_per_round": len(per_call), "percentile": tail_pct},
+        "peak_rss_mb": {"value": statistics.mean(r["maxrss_kb"] for r in plain) / 1024,
+                        "samples": len(plain)},
     }
-    if plain:
-        for name in ("eval_p50_ms", "eval_tail_ms"):
-            out[name]["calls_per_round"] = plain[0]["latency_samples"]
-        out["eval_tail_ms"]["percentile"] = plain[0]["tail_percentile"]
-    return out
 
 
 def per_layer(rounds: list[dict], names: list[str]) -> tuple[dict, list[str]]:
-    traced = [r["trace"] for r in rounds if r["traced"] and r.get("trace")]
+    """Medians over the traced rounds.  Span times are scaled to reference
+    seconds by their round's mean factor (scaled over raw wall time)."""
+    traced = [r for r in rounds if r["traced"] and r.get("trace")]
     plain = [r["wall_s"] for r in rounds if not r["traced"] and "wall_s" in r]
-    traced_wall = [r["wall_s"] for r in rounds if r["traced"] and "wall_s" in r]
+    traced_wall = [r["wall_s"] for r in traced]
     problems = []
     out = {}
-    for name in sorted({key for summary in traced for key in summary}):
-        values = [summary.get(name, 0) for summary in traced]
+    for name in sorted({key for r in traced for key in r["trace"]}):
+        timed = name.endswith("_s") or ".miss_s." in name
+        values = [r["trace"].get(name, 0) * (r["wall_s"] / r["raw_wall_s"] if timed else 1)
+                  for r in traced]
         exact = name.endswith(EXACT_SUFFIXES)
         if exact and len(set(values)) > 1:
             problems.append(f"exact counter {name} differs between traced rounds: {values}")
@@ -221,8 +239,9 @@ def _growth(measured: dict, names: list[str], graph: str) -> float:
 def run_workload(workload: str, seed: int, seconds: float, traced: bool, spec: dict) -> dict:
     inputs = workloads.generate(workload, seed)
     digest = hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
+    deadline = monotonic() + seconds
     setup, setup_errors = measure_setup()
-    run = run_rounds(workload, inputs, seconds, traced)
+    run = run_rounds(workload, inputs, deadline, traced)
     rounds = run["rounds"]
     messages = setup_errors + run["messages"]
     attempted = sum(r["attempted"] for r in rounds)
