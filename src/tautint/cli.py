@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from .arith import format_rational
 from .identities import (
+    LAMBDA2_METHOD_NAMES,
     VERIFY_METHODS,
     lambda2_closed,
     lambda2_integral,
@@ -127,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_l2 = sub.add_parser("lambda2", help="genus-2 Hodge-class integral")
     p_l2.add_argument("--k", type=_exponents_arg, required=True, metavar="K1,K2,...")
-    p_l2.add_argument("--method", choices=("closed", "eq5", "eq3"), default="closed")
+    p_l2.add_argument("--method", choices=("closed",) + LAMBDA2_METHOD_NAMES, default="closed")
     p_l2.add_argument("--json", action="store_true", help="emit a JSON record")
 
     p_ver = sub.add_parser("verify", help="cross-check all computation routes")

@@ -4,8 +4,9 @@ multi-route verifier that cross-checks them.
 For a partition k_1 + ... + k_n = n+1 three routes compute the integral of
 psi_1^{k_1} ... psi_n^{k_n} against the pullback of the delta stratum (a
 genus-1 component meeting a nodal rational component): a one-line multinomial
-closed form, a string/dilaton-style recursion, and the brute-force
-stratum sum from :mod:`tautint.strata`.  Four more routes compute the same
+closed form, the string/dilaton recursion (the engine of :mod:`tautint.psi`
+run on the genus-2 delta family), and the brute-force stratum sum from
+:mod:`tautint.strata`.  Four more routes compute the same
 monomial paired with the top Chern class of the genus-2 Hodge bundle, whose
 boundary-strata decomposition reduces everything to the same ingredients.
 """
@@ -18,6 +19,7 @@ from math import factorial
 from typing import Iterable, Iterator
 
 from .arith import Exponents, as_exponents, bernoulli, canonical, multinomial, partitions
+from .psi import _DELTA_MEMO, _string_dilaton
 from .strata import (
     StrataExpression,
     delta0_graph,
@@ -66,45 +68,14 @@ def pullback_delta_closed(n: int, exponents: Iterable[int]) -> Fraction:
     return Fraction(multinomial(n + 1, k), 24)
 
 
-_DELTA_MEMO: dict[Exponents, Fraction] = {}
-
-
 def pullback_delta_recursive(n: int, exponents: Iterable[int]) -> Fraction:
-    """The same integral by induction on n.
-
-    A zero exponent is removed by the pullback analogue of the string
-    equation (sum over single decrements of the remaining exponents); with no
-    zero some exponent must be 1 and the pullback analogue of the dilaton
-    equation applies, contributing a factor n+1.  The base case is the
-    one-point integral with exponent 2, which evaluates to 1/24.
+    """The same integral by induction on n, on the string/dilaton engine of
+    :mod:`tautint.psi`: the pullback analogues of the string equation and of
+    the dilaton equation (factor n+1), from the one-point integral 1/24 at
+    exponent 2.
     """
     k = _check_partition(n, exponents)
-    return _delta_rec(canonical(k))
-
-
-def _delta_rec(k: Exponents) -> Fraction:
-    # k sorted descending, sum(k) == len(k) + 1
-    if k == (2,):
-        return Fraction(1, 24)
-    cached = _DELTA_MEMO.get(k)
-    if cached is not None:
-        return cached
-
-    n = len(k)
-    if k[-1] == 0:
-        # String analogue: drop one zero, sum over decrements of the rest.
-        rest = k[:-1]
-        value = Fraction(0)
-        for j in range(n - 1):
-            if rest[j] > 0:
-                value += _delta_rec(canonical(rest[:j] + (rest[j] - 1,) + rest[j + 1:]))
-    else:
-        # All parts positive and summing to n+1 forces min(k) == 1 for n >= 2.
-        # Dilaton analogue: remove the last exponent-1 point, factor n+1.
-        value = (n + 1) * _delta_rec(k[:-1])
-
-    _DELTA_MEMO[k] = value
-    return value
+    return _string_dilaton(_DELTA_MEMO, 2, canonical(k))
 
 
 def lambda2_closed(n: int, exponents: Iterable[int]) -> Fraction:

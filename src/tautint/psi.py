@@ -2,8 +2,10 @@
 
 The integrals <psi_1^{k_1} ... psi_n^{k_n}> over the moduli space of stable
 n-pointed curves are computed by memoized string/dilaton recursion from the
-two base values <1>_{0,3} = 1 and <psi_1>_{1,1} = 1/24.  A closed-form
-multinomial evaluation in genus 0 is kept as an independent cross-check.
+two base values <1>_{0,3} = 1 and <psi_1>_{1,1} = 1/24.  The same iterative
+engine, with base value 1/24 at exponent (2,), runs the genus-2 delta
+recursion of :mod:`tautint.identities`.  A closed-form multinomial
+evaluation in genus 0 is kept as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -43,15 +45,18 @@ class ModuliIndex:
         return 2 * self.genus - 2 + self.marks > 0
 
 
-# Memo keyed on (genus, descending-sorted exponents).  A plain dict is enough
-# for concurrent use in CPython: reads and writes of immutable values are
-# atomic, and racing threads can only ever insert the identical Fraction.
+# Memos keyed on (genus, descending-sorted exponents), one per family.  A plain
+# dict is enough for concurrent use in CPython: reads and writes of immutable
+# values are atomic, and racing threads can only ever insert the identical Fraction.
 _CACHE: dict[tuple[int, Exponents], Fraction] = {}
+_DELTA_MEMO: dict[tuple[int, Exponents], Fraction] = {}  # genus 2: the delta family
+_BASE = {(0, (0, 0, 0)): Fraction(1), (1, (1,)): Fraction(1, 24), (2, (2,)): Fraction(1, 24)}
 
 
 def clear_cache() -> None:
     """Drop all memoized integrals (mainly for tests and benchmarks)."""
     _CACHE.clear()
+    _DELTA_MEMO.clear()
 
 
 def psi_integral(space: ModuliIndex, exponents: Iterable[int]) -> Fraction:
@@ -75,37 +80,50 @@ def psi_integral(space: ModuliIndex, exponents: Iterable[int]) -> Fraction:
         raise ValueError(f"expected {space.marks} exponents, got {len(k)}")
     if sum(k) != space.dimension:
         return Fraction(0)
-    return _psi(space.genus, canonical(k))
+    return _string_dilaton(_CACHE, space.genus, canonical(k))
 
 
-def _psi(genus: int, k: Exponents) -> Fraction:
-    # Invariants: k sorted descending, degree(k) == 3g-3+len(k), index stable.
-    key = (genus, k)
-    cached = _CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    n = len(k)
-    if genus == 0 and n == 3:
-        value = Fraction(1)
-    elif genus == 1 and n == 1:
-        value = Fraction(1, 24)
-    elif k[-1] == 0:
-        # String equation: forget a point with exponent 0 and redistribute
-        # one unit of exponent among the remaining points.
-        rest = k[:-1]
-        value = Fraction(0)
-        for j in range(n - 1):
-            if rest[j] > 0:
-                value += _psi(genus, canonical(rest[:j] + (rest[j] - 1,) + rest[j + 1:]))
-    else:
-        # No zero part forces genus 1 with all exponents equal to 1 (any part
-        # >= 2 would overshoot the dimension), so the dilaton equation
-        # applies: the factor is 2g-2+n counted after forgetting the point.
-        value = (2 * genus - 2 + (n - 1)) * _psi(genus, k[:-1])
-
-    _CACHE[key] = value
+def _string_dilaton(table: dict, genus: int, k: Exponents) -> Fraction:
+    # Invariants: k sorted descending with the family's degree (3g-3+n, or
+    # n+1 for the delta family), index stable.  Pending steps wait on an
+    # explicit stack, so the depth is not bounded by Python's recursion limit.
+    value = table.get((genus, k))
+    stack = [] if value is not None else [(k, _step(table, genus, k))]
+    while stack:
+        k, step = stack[-1]
+        try:
+            needed = step.send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = table[genus, k] = done.value
+        else:
+            value = None
+            stack.append((needed, _step(table, genus, needed)))
     return value
+
+
+def _step(table: dict, genus: int, k: Exponents):
+    # One induction step: yields each smaller exponent vector missing from
+    # ``table`` and is sent its value.
+    if (genus, k) in _BASE:
+        return _BASE[genus, k]
+    rest = k[:-1]
+    if k[-1]:
+        # No zero part forces a last exponent of 1 (genus 1: all ones; the
+        # delta family: n+1 over n positive parts), so the dilaton equation
+        # applies: the factor is 2g-2+n counted after forgetting the point.
+        value = table.get((genus, rest))
+        return (2 * genus - 3 + len(k)) * ((yield rest) if value is None else value)
+    # String equation: forget a point with exponent 0 and redistribute one
+    # unit of exponent among the remaining points.  Equal parts give equal
+    # terms, so each run counts once, decremented at its end to stay sorted.
+    total = Fraction(0)
+    for end, part in enumerate(rest, 1):
+        if part and (end == len(rest) or rest[end] < part):
+            smaller = rest[:end - 1] + (part - 1,) + rest[end:]
+            value = table.get((genus, smaller))
+            total += rest.count(part) * ((yield smaller) if value is None else value)
+    return total
 
 
 def genus0_closed_form(exponents: Iterable[int]) -> Fraction:

@@ -379,10 +379,13 @@ def pullback_integral(graph: DualGraph, exponents: Iterable[int] = ()) -> Fracti
     contribute 0.
     """
     k = tuple(int(v) for v in exponents)
-    _require_evaluable(graph, len(k))
-    key = (graph, canonical(k) if k else ())
+    # Only checked inputs are cached, and the checks see only the graph and
+    # the multiset of k, so a hit needs no check.
+    key = (graph, canonical(k))
     cached = _PULLBACK_CACHE.get(key)
     if cached is None:
+        if any(v < 0 for v in k):  # name a bad graph before a bad exponent
+            _require_evaluable(graph, len(k))
         cached = sum((term.value for term in stratum_terms(graph, k)), Fraction(0))
         _PULLBACK_CACHE[key] = cached
     return cached

@@ -3,9 +3,12 @@
 import csv
 import io
 import json
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from tautint.arith import format_rational
 from tautint.cli import CSV_COLUMNS, OutputRecord, main
 from tautint.strata import delta_graph, format_graph
 
@@ -30,6 +33,14 @@ class TestPsiCommand:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out == expected + "\n"
+
+    def test_deep_inputs(self, capsys):
+        # Deeper than Python's recursion limit in the number of points.
+        code, out, _ = run(capsys, "psi", "--genus", "0", "--k", ",".join(["997"] + ["0"] * 999))
+        assert (code, out) == (0, "1\n")
+        code, out, _ = run(capsys, "psi", "--genus", "1", "--k", ",".join(["1"] * 1200))
+        assert code == 0
+        assert out == format_rational(Fraction(factorial(1199), 24)) + "\n"
 
     def test_json_record_round_trips(self, capsys):
         code, out, _ = run(capsys, "psi", "--genus", "1", "--k", "1", "--json")
@@ -71,6 +82,11 @@ class TestPullbackCommand:
         code, out, _ = run(capsys, "pullback", "--graph", graph, "--k", k)
         assert code == 0
         assert out == expected + "\n"
+
+    def test_deep_input(self, capsys):
+        k = ",".join(["1001"] + ["0"] * 999)
+        code, out, _ = run(capsys, "pullback", "--graph", "delta0", "--k", k)
+        assert (code, out) == (0, "1\n")
 
     def test_graph_from_file(self, capsys, tmp_path):
         path = tmp_path / "delta.graph"

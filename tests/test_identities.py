@@ -63,6 +63,11 @@ class TestDeltaRecursive:
             assert pullback_delta_recursive(n, k) == closed
             assert pullback_integral(delta_graph(), k) == closed
 
+    @pytest.mark.parametrize("k", [(1101,) + (0,) * 1099, (2,) + (1,) * 1099])
+    def test_deep_input_matches_closed_form(self, k):
+        # A string chain and a dilaton chain, each 1100 points deep.
+        assert pullback_delta_recursive(1100, k) == pullback_delta_closed(1100, k)
+
     @pytest.mark.parametrize("n", range(2, 10))
     def test_zero_part_expansion_matches_pascal_recombination(self, n):
         # With a zero part, the recursion's expansion must agree with the

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tautint import psi
+from tautint import identities, psi
 from tautint.arith import partitions
 from tautint.psi import ModuliIndex, UnsupportedGenusError, genus0_closed_form, psi_integral
 
@@ -115,6 +115,13 @@ class TestPsiIntegral:
             )
             psi.clear_cache()
             assert psi_integral(space, k) == expanded
+
+    def test_clear_cache_also_clears_delta_memo(self):
+        identities.pullback_delta_recursive(3, (2, 1, 1))
+        assert identities._DELTA_MEMO
+        psi.clear_cache()
+        assert not psi._CACHE
+        assert not identities._DELTA_MEMO
 
     def test_concurrent_calls_agree_with_serial(self):
         jobs = [

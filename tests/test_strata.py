@@ -173,6 +173,13 @@ class TestPullbackIntegral:
             pullback_integral(broken, (1,))
         assert not excinfo.value.report.ok
 
+    def test_invalid_graph_reported_before_negative_exponent(self):
+        broken = DualGraph(genera=(1, 1))
+        with pytest.raises(InvalidGraphError):
+            pullback_integral(broken, (1, -1))
+        with pytest.raises(ValueError, match="nonnegative"):
+            pullback_integral(delta_graph(), (1, -1))
+
     def test_genus_two_vertex_rejected(self):
         graph = DualGraph(genera=(2,), legs=(("x", 0),))
         with pytest.raises(UnsupportedGenusError):
