@@ -7,6 +7,7 @@ Every value in this package is an arbitrary-precision ``int`` or
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -112,10 +113,11 @@ def bernoulli(m: int) -> Fraction:
 
 def format_rational(value: Fraction | int) -> str:
     """Render an exact rational as "p/q", omitting "/q" when q is 1."""
+    # Decimal prints every digit; str(int) stops at sys.get_int_max_str_digits().
     value = Fraction(value)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return str(Decimal(value.numerator))
+    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
 def parse_rational(text: str) -> Fraction:

@@ -6,6 +6,9 @@ two base values <1>_{0,3} = 1 and <psi_1>_{1,1} = 1/24.  The same iterative
 engine, with base value 1/24 at exponent (2,), runs the genus-2 delta
 recursion of :mod:`tautint.identities`.  A closed-form multinomial
 evaluation in genus 0 is kept as an independent cross-check.
+
+Inputs are checked at the public edge only: :func:`psi_integral` checks, then
+calls the check-free ``_integral``; the strata evaluator calls that directly.
 """
 
 from __future__ import annotations
@@ -78,9 +81,14 @@ def psi_integral(space: ModuliIndex, exponents: Iterable[int]) -> Fraction:
         )
     if len(k) != space.marks:
         raise ValueError(f"expected {space.marks} exponents, got {len(k)}")
-    if sum(k) != space.dimension:
+    return _integral(space.genus, k)
+
+
+def _integral(genus: int, k: Exponents) -> Fraction:
+    # Check-free entry: k holds nonnegative ints on a stable genus-0/1 index.
+    if sum(k) != 3 * genus - 3 + len(k):
         return Fraction(0)
-    return _string_dilaton(_CACHE, space.genus, canonical(k))
+    return _string_dilaton(_CACHE, genus, canonical(k))
 
 
 def _string_dilaton(table: dict, genus: int, k: Exponents) -> Fraction:

@@ -21,6 +21,9 @@ join the decorated point on a rational bubble.  Decorations of total degree
 >= 2 on one vertex would need products of boundary divisors and are rejected
 whenever marks are being distributed.
 
+Public evaluators check the graph and exponents once; per-vertex integrals then
+call the psi engine's check-free entry, as a valid graph's vertices are stable.
+
 Graph literal format (also accepted by the CLI as ``file:<path>``)::
 
     # '#' starts a comment; blank lines are ignored
@@ -43,7 +46,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 from .arith import Exponents, canonical
-from .psi import ModuliIndex, UnsupportedGenusError, psi_integral
+from .psi import ModuliIndex, UnsupportedGenusError, _integral
 
 __all__ = [
     "EdgeEnd",
@@ -295,7 +298,7 @@ class StratumTerm(NamedTuple):
 
 def _vertex_factor(genus: int, fixed: Exponents, assigned: Exponents) -> VertexFactor:
     space = ModuliIndex(genus, len(fixed) + len(assigned))
-    plain = psi_integral(space, assigned + fixed)
+    plain = _integral(genus, assigned + fixed)
     deco = sum(fixed)
     if deco == 0 or not assigned:
         # Undecorated, or no marks to distribute: the decoration already
@@ -313,10 +316,10 @@ def _vertex_factor(genus: int, fixed: Exponents, assigned: Exponents) -> VertexF
     for mask in range(1, 1 << m):
         bubble = tuple(assigned[i] for i in range(m) if mask >> i & 1)
         kept = tuple(assigned[i] for i in range(m) if not mask >> i & 1)
-        core = psi_integral(ModuliIndex(genus, len(fixed) + len(kept)), kept + zeros)
+        core = _integral(genus, kept + zeros)
         if core == 0:
             continue
-        value -= core * psi_integral(ModuliIndex(0, len(bubble) + 2), bubble + (0, 0))
+        value -= core * _integral(0, bubble + (0, 0))
     return VertexFactor(space, assigned + fixed, value)
 
 
@@ -345,9 +348,9 @@ def stratum_terms(graph: DualGraph, exponents: Iterable[int] = ()) -> Iterator[S
     :func:`pullback_integral` for the (cached) total.
     """
     k = tuple(int(v) for v in exponents)
+    _require_evaluable(graph, len(k))
     if any(v < 0 for v in k):
         raise ValueError(f"exponents must be nonnegative, got {k}")
-    _require_evaluable(graph, len(k))
 
     fixed = [graph.fixed_exponents(v) for v in range(graph.vertex_count)]
     for assignment in itertools.product(range(graph.vertex_count), repeat=len(k)):
@@ -384,8 +387,6 @@ def pullback_integral(graph: DualGraph, exponents: Iterable[int] = ()) -> Fracti
     key = (graph, canonical(k))
     cached = _PULLBACK_CACHE.get(key)
     if cached is None:
-        if any(v < 0 for v in k):  # name a bad graph before a bad exponent
-            _require_evaluable(graph, len(k))
         cached = sum((term.value for term in stratum_terms(graph, k)), Fraction(0))
         _PULLBACK_CACHE[key] = cached
     return cached

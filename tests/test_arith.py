@@ -160,6 +160,11 @@ class TestRationalText:
     def test_round_trip(self, value):
         assert parse_rational(format_rational(value)) == value
 
+    def test_format_beyond_int_str_digit_limit(self):
+        # 5001 numerator digits: more than str(int) prints by default.
+        value = Fraction(-(10 ** 5000 + 7), 3)
+        assert format_rational(value) == "-1" + "0" * 4999 + "7/3"
+
 
 class TestCanonical:
     def test_sorts_descending(self):

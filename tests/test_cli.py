@@ -19,6 +19,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def decimal_value(text):
+    """Read a decimal integer of any length, in chunks short enough for int()."""
+    assert text.isdigit() and not text.startswith("0")
+    value = 0
+    for start in range(0, len(text), 1000):
+        chunk = text[start:start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
 class TestPsiCommand:
     @pytest.mark.parametrize(
         "argv, expected",
@@ -41,6 +51,18 @@ class TestPsiCommand:
         code, out, _ = run(capsys, "psi", "--genus", "1", "--k", ",".join(["1"] * 1200))
         assert code == 0
         assert out == format_rational(Fraction(factorial(1199), 24)) + "\n"
+
+    def test_values_beyond_int_str_digit_limit(self, capsys):
+        # 1599!/24 has 4430 digits; text and JSON both print all of them.
+        k = ",".join(["1"] * 1600)
+        code, text, _ = run(capsys, "psi", "--genus", "1", "--k", k)
+        assert code == 0 and text.endswith("\n")
+        assert decimal_value(text[:-1]) == factorial(1599) // 24
+        code, out, _ = run(capsys, "psi", "--genus", "1", "--k", k, "--json")
+        assert code == 0
+        assert OutputRecord.from_json(out).results == [
+            {"method": "string-dilaton", "value": text[:-1]}
+        ]
 
     def test_json_record_round_trips(self, capsys):
         code, out, _ = run(capsys, "psi", "--genus", "1", "--k", "1", "--json")

@@ -1,5 +1,6 @@
 """Tests for the genus-0/1 psi-integral engine."""
 
+import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -10,6 +11,23 @@ from hypothesis import given, strategies as st
 from tautint import identities, psi
 from tautint.arith import partitions
 from tautint.psi import ModuliIndex, UnsupportedGenusError, genus0_closed_form, psi_integral
+
+
+def genus1_closed_form(k):
+    """Independent genus-1 oracle for a degree-matched exponent vector:
+    <tau_d>_1 = (1/24) C(n; d) (1 - sum_{i>=2} (i-2)! e_i(d) / (n)_i),
+    with e_i the elementary symmetric polynomials and (n)_i = n!/(n-i)!."""
+    n = len(k)
+    elementary = [1] + [0] * n  # coefficients of prod_j (1 + d_j x)
+    for d in k:
+        for i in range(n, 0, -1):
+            elementary[i] += d * elementary[i - 1]
+    multinomial = math.factorial(n) // math.prod(math.factorial(d) for d in k)
+    correction = sum(
+        Fraction(math.factorial(i - 2) * elementary[i], math.perm(n, i))
+        for i in range(2, n + 1)
+    )
+    return Fraction(multinomial, 24) * (1 - correction)
 
 
 class TestModuliIndex:
@@ -73,6 +91,14 @@ class TestPsiIntegral:
         for degree in range(0, n - 1):  # include one degree above the dimension
             for k in partitions(degree, n):
                 assert psi_integral(ModuliIndex(0, n), k) == genus0_closed_form(k)
+
+    def test_genus1_recursion_matches_closed_form(self):
+        checked = 0
+        for n in range(1, 11):
+            for k in partitions(n, n):
+                assert psi_integral(ModuliIndex(1, n), k) == genus1_closed_form(k), k
+                checked += 1
+        assert checked == 138
 
     @pytest.mark.parametrize("genus", [0, 1])
     def test_every_matched_degree_terminates_positive(self, genus):

@@ -180,6 +180,10 @@ class TestPullbackIntegral:
         with pytest.raises(ValueError, match="nonnegative"):
             pullback_integral(delta_graph(), (1, -1))
 
+    def test_stratum_terms_reports_bad_graph_before_negative_exponent(self):
+        with pytest.raises(InvalidGraphError):
+            next(stratum_terms(DualGraph(genera=(1, 1)), (1, -1)))
+
     def test_genus_two_vertex_rejected(self):
         graph = DualGraph(genera=(2,), legs=(("x", 0),))
         with pytest.raises(UnsupportedGenusError):
@@ -189,6 +193,40 @@ class TestPullbackIntegral:
         graph = DualGraph(genera=(1,), legs=(("x", 0),))
         with pytest.raises(ValueError, match="total genus"):
             pullback_integral(graph, (1,))
+
+
+LAW_GRAPHS = {
+    "delta": delta_graph(),
+    "delta0": delta0_graph(),
+    "gamma-psi": gamma_psi_graph(),
+    "legged-loop": DualGraph((1,), ((((0, 1), (0, 0))),), (("x", 0),)),
+    "legged-two-vertex": DualGraph((1, 0), ((0, 1), (1, 1)), (("x", 1), ("y", 0))),
+}
+LAW_EXPONENTS = [k for n in range(5) for k in itertools.product(range(5), repeat=n)]
+
+
+class TestGraphStringDilaton:
+    """String and dilaton laws of any forgetful pullback, on every k with
+    n <= 4 marks and exponents <= 4."""
+
+    @pytest.mark.parametrize("name", LAW_GRAPHS)
+    def test_string_law(self, name):
+        graph = LAW_GRAPHS[name]
+        for k in LAW_EXPONENTS:
+            expanded = sum(
+                (pullback_integral(graph, k[:j] + (k[j] - 1,) + k[j + 1:])
+                 for j in range(len(k)) if k[j] > 0),
+                Fraction(0),
+            )
+            assert pullback_integral(graph, k + (0,)) == expanded, k
+
+    @pytest.mark.parametrize("name", LAW_GRAPHS)
+    def test_dilaton_law(self, name):
+        graph = LAW_GRAPHS[name]
+        factor = 2 + len(graph.legs)  # 2g - 2 + legs, plus one per mark
+        for k in LAW_EXPONENTS:
+            expected = (factor + len(k)) * pullback_integral(graph, k)
+            assert pullback_integral(graph, k + (1,)) == expected, k
 
 
 class TestStrataExpression:
