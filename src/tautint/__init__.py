@@ -1,8 +1,8 @@
 """Exact tautological intersection numbers on moduli of stable pointed curves.
 
 Three mutually checking computation routes at genus 2 — a multinomial closed
-form, a string/dilaton-style recursion, and brute-force enumeration of
-boundary strata — plus the genus-0/1 psi-integral engine they rest on.
+form, a string/dilaton-style recursion, and a sum over boundary strata —
+plus the genus-0/1 psi-integral engine they rest on.
 All arithmetic is exact rational.
 """
 

@@ -7,6 +7,7 @@ Every value in this package is an arbitrary-precision ``int`` or
 from __future__ import annotations
 
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -120,6 +121,16 @@ def format_rational(value: Fraction | int) -> str:
     return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
+# The integer "p" / "p/q" forms that fractions.Fraction reads, digit for digit.
+_INTEGER_RATIO = re.compile(r"\s*([-+]?\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*))?\s*")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse the "p/q" form produced by :func:`format_rational`."""
-    return Fraction(text.strip())
+    """Parse the "p/q" form produced by :func:`format_rational`, of any
+    length; any other text ``fractions.Fraction`` reads is accepted too."""
+    match = _INTEGER_RATIO.fullmatch(text)
+    if match is None:
+        return Fraction(text.strip())
+    # Decimal reads every digit, as format_rational prints them.
+    numerator, denominator = match.groups()
+    return Fraction(int(Decimal(numerator)), int(Decimal(denominator or 1)))

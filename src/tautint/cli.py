@@ -48,7 +48,8 @@ EXIT_DISAGREE = 3
 # Fixed verification table schema, one stable layout for regression diffing.
 CSV_COLUMNS = ("n", "partition") + VERIFY_METHODS + ("agree",)
 
-# verify enumerates 2^n strata per partition; past this, require --hard.
+# verify checks every partition of n+1 for each n up to --n-max; their number,
+# and the run time, about doubles every two steps of n.  Past this, require --hard.
 SOFT_N_MAX = 12
 
 
@@ -135,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n-max", type=_positive_int, default=10)
     p_ver.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_ver.add_argument("--hard", action="store_true",
-                       help=f"allow --n-max beyond {SOFT_N_MAX} despite the 2^n cost")
+                       help=f"allow --n-max beyond {SOFT_N_MAX}, though the run time about "
+                            "doubles every two steps")
     return parser
 
 
@@ -218,14 +220,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.n_max > SOFT_N_MAX:
         if not args.hard:
             print(
-                f"--n-max {args.n_max} enumerates up to 2^{args.n_max} strata per "
-                f"partition; pass --hard to confirm",
+                f"--n-max {args.n_max} checks every partition of n+1 up to n = "
+                f"{args.n_max}, and the run time about doubles every two steps "
+                f"past {SOFT_N_MAX}; pass --hard to confirm",
                 file=sys.stderr,
             )
             return EXIT_USAGE
         print(
-            f"warning: --n-max {args.n_max} enumerates up to 2^{args.n_max} strata "
-            f"per partition; this may take a while",
+            f"warning: --n-max {args.n_max} checks every partition of n+1 up to "
+            f"n = {args.n_max}; this may take a while",
             file=sys.stderr,
         )
 

@@ -5,10 +5,11 @@ For a partition k_1 + ... + k_n = n+1 three routes compute the integral of
 psi_1^{k_1} ... psi_n^{k_n} against the pullback of the delta stratum (a
 genus-1 component meeting a nodal rational component): a one-line multinomial
 closed form, the string/dilaton recursion (the engine of :mod:`tautint.psi`
-run on the genus-2 delta family), and the brute-force stratum sum from
-:mod:`tautint.strata`.  Four more routes compute the same
-monomial paired with the top Chern class of the genus-2 Hodge bundle, whose
-boundary-strata decomposition reduces everything to the same ingredients.
+run on the genus-2 delta family), and the stratum sum of
+:mod:`tautint.strata`, evaluated by orbits of mark distributions.  Four more
+routes compute the same monomial paired with the top Chern class of the
+genus-2 Hodge bundle, whose boundary-strata decomposition reduces everything
+to the same ingredients.
 """
 
 from __future__ import annotations

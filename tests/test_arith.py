@@ -165,6 +165,20 @@ class TestRationalText:
         value = Fraction(-(10 ** 5000 + 7), 3)
         assert format_rational(value) == "-1" + "0" * 4999 + "7/3"
 
+    def test_parse_beyond_int_str_digit_limit(self):
+        value = Fraction(-(10 ** 5000 + 7), 3)
+        assert parse_rational(format_rational(value)) == value
+        assert parse_rational(format_rational(10 ** 5000)) == 10 ** 5000
+
+    @pytest.mark.parametrize("text", ["1.5", "-2e3", " 1_000/3_0 ", ".5", "+7"])
+    def test_parse_other_fraction_forms(self, text):
+        assert parse_rational(text) == Fraction(text)
+
+    @pytest.mark.parametrize("text", ["", "1/-2", "1 /2", "1__0", "nan", "1.5/2"])
+    def test_parse_rejects_what_fraction_rejects(self, text):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
 
 class TestCanonical:
     def test_sorts_descending(self):

@@ -110,6 +110,19 @@ class TestPullbackCommand:
         code, out, _ = run(capsys, "pullback", "--graph", "delta0", "--k", k)
         assert (code, out) == (0, "1\n")
 
+    def test_wrong_degree_prints_zero_at_once(self, capsys):
+        # 30 marks span 2^30 strata, but the degree alone gives 0.
+        k = ",".join(["2", "1"] + ["0"] * 28)
+        code, out, _ = run(capsys, "pullback", "--graph", "delta", "--k", k)
+        assert (code, out) == (0, "0\n")
+
+    def test_costly_pullback_is_domain_error(self, capsys):
+        # degree n+1 over four distinct values: ~6e8 cost units, refused at once
+        k = ",".join(["4"] * 15 + ["3"] * 15 + ["2"] * 15 + ["1"] * 5 + ["0"] * 89)
+        code, out, err = run(capsys, "pullback", "--graph", "delta", "--k", k)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "too costly" in err
+
     def test_graph_from_file(self, capsys, tmp_path):
         path = tmp_path / "delta.graph"
         path.write_text(format_graph(delta_graph()), encoding="utf-8")

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from tautint import strata
 from tautint.arith import partitions
 from tautint.psi import ModuliIndex, UnsupportedGenusError, psi_integral
 from tautint.strata import (
@@ -227,6 +228,108 @@ class TestGraphStringDilaton:
         for k in LAW_EXPONENTS:
             expected = (factor + len(k)) * pullback_integral(graph, k)
             assert pullback_integral(graph, k + (1,)) == expected, k
+
+
+CHAIN3 = DualGraph((0, 0, 0), ((0, 1), (0, 1), (1, 2), (1, 2)), (("a", 0), ("b", 2)))
+LEGGED_DECO = DualGraph((1, 0), ((0, 1), ((1, 1), (1, 0))), (("x", 1),))
+
+
+def legged_chain(vertex_count):
+    """Genus-0 vertices in a row: two double edges, then single edges, with
+    legs wherever a vertex would otherwise have fewer than three points."""
+    edges = [(0, 1), (0, 1), (1, 2), (1, 2)]
+    edges += [(v, v + 1) for v in range(2, vertex_count - 1)]
+    legs = [("a", 0), ("z", vertex_count - 1), ("y", vertex_count - 1)]
+    legs += [(f"m{v}", v) for v in range(3, vertex_count - 1)]
+    return DualGraph((0,) * vertex_count, tuple(edges), tuple(legs))
+
+
+ORBIT_GRAPHS = dict(LAW_GRAPHS, chain3=CHAIN3, chain4=legged_chain(4),
+                    **{"legged-deco": LEGGED_DECO})
+
+
+def subset_expansion(genus, fixed, assigned):
+    """A unit-decorated vertex's factor by the literal sum over the nonempty
+    subsets of its marks that bubble off with the decorated point."""
+    def integral(g, k):
+        return psi_integral(ModuliIndex(g, len(k)), k)
+
+    value = integral(genus, assigned + fixed)
+    zeros = (0,) * len(fixed)
+    for size in range(1, len(assigned) + 1):
+        for bubble in itertools.combinations(range(len(assigned)), size):
+            kept = tuple(e for i, e in enumerate(assigned) if i not in bubble)
+            value -= (integral(genus, kept + zeros)
+                      * integral(0, tuple(assigned[i] for i in bubble) + (0, 0)))
+    return value
+
+
+class TestOrbitSum:
+    def test_fixture_graphs_are_evaluable(self):
+        for graph in (CHAIN3, LEGGED_DECO, legged_chain(12)):
+            assert validate_graph(graph).ok
+            assert total_genus(graph) == 2
+
+    @pytest.mark.parametrize("name", ORBIT_GRAPHS)
+    def test_orbit_sum_equals_enumeration(self, name):
+        # every multiset of entries <= 3, so both matched and mismatched degrees
+        graph = ORBIT_GRAPHS[name]
+        n_max = {1: 7, 2: 7, 3: 5, 4: 4}[graph.vertex_count]
+        for n in range(n_max + 1):
+            for k in itertools.combinations_with_replacement(range(4), n):
+                strata.clear_cache()
+                enumerated = sum((term.value for term in stratum_terms(graph, k)), Fraction(0))
+                strata.clear_cache()
+                assert pullback_integral(graph, k) == enumerated, k
+
+    @pytest.mark.parametrize("graph", [LEGGED_DECO, gamma_psi_graph(), LAW_GRAPHS["legged-loop"]])
+    def test_decorated_factor_matches_subset_expansion(self, graph):
+        decorated = [v for v in range(graph.vertex_count) if sum(graph.fixed_exponents(v))]
+        assert decorated
+        for n in range(1, 6):
+            for k in itertools.combinations_with_replacement(range(4), n):
+                for term in stratum_terms(graph, k):
+                    for v in decorated:
+                        fixed = graph.fixed_exponents(v)
+                        factor = term.factors[v]
+                        assigned = factor.exponents[:len(factor.exponents) - len(fixed)]
+                        assert factor.value == subset_expansion(graph.genera[v], fixed, assigned), k
+
+    def test_wrong_degree_returns_zero_before_any_vertex_factor(self, monkeypatch):
+        def no_factor(*args):
+            raise AssertionError("vertex factor evaluated")
+
+        strata.clear_cache()
+        monkeypatch.setattr(strata, "_factor_value", no_factor)
+        # chain3 needs total degree n+1; 21 marks of degree 42 give 3^21 zero strata
+        assert pullback_integral(CHAIN3, (2,) * 21) == 0
+        assert pullback_integral(delta_graph(), (2, 1) + (0,) * 28) == 0
+
+    def test_costly_input_refused_before_any_work(self, monkeypatch):
+        def no_factor(*args):
+            raise AssertionError("vertex factor evaluated")
+
+        strata.clear_cache()
+        monkeypatch.setattr(strata, "_factor_value", no_factor)
+        graph = legged_chain(12)
+        k = (3,) * 6 + (2,) * 6 + (1,) * 6 + (0,) * 17  # degree n+1, as the chain needs
+        with pytest.raises(ValueError, match="too costly"):
+            pullback_integral(graph, k)
+
+    def test_long_chain_input_allowed(self):
+        # 150 marks on three vertices stay under the cost limit; the value
+        # obeys the dilaton law (factor 2g-2 + legs + marks = 2 + 2 + 149).
+        strata.clear_cache()
+        shorter = pullback_integral(CHAIN3, (2,) + (1,) * 148)
+        assert shorter != 0
+        assert pullback_integral(CHAIN3, (2,) + (1,) * 149) == 153 * shorter
+
+    def test_clear_cache_drops_vertex_factors(self):
+        strata.clear_cache()
+        pullback_integral(LEGGED_DECO, (2, 1, 1))
+        assert strata._FACTOR_CACHE and strata._PULLBACK_CACHE
+        strata.clear_cache()
+        assert not strata._FACTOR_CACHE and not strata._PULLBACK_CACHE
 
 
 class TestStrataExpression:
