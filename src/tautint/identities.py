@@ -4,8 +4,9 @@ multi-route verifier that cross-checks them.
 For a partition k_1 + ... + k_n = n+1 three routes compute the integral of
 psi_1^{k_1} ... psi_n^{k_n} against the pullback of the delta stratum (a
 genus-1 component meeting a nodal rational component): a one-line multinomial
-closed form, the string/dilaton recursion (the engine of :mod:`tautint.psi`
-run on the genus-2 delta family), and the stratum sum of
+closed form, the string/dilaton recursion (the graph engine of
+:mod:`tautint.strata` run on ``delta_graph()``, whose only non-recursive
+input is the stratum sum at n <= 1), and the stratum sum of
 :mod:`tautint.strata`, evaluated by orbits of mark distributions.  Four more
 routes compute the same monomial paired with the top Chern class of the
 genus-2 Hodge bundle, whose boundary-strata decomposition reduces everything
@@ -19,10 +20,11 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Iterator
 
-from .arith import Exponents, as_exponents, bernoulli, canonical, multinomial, partitions
-from .psi import _DELTA_MEMO, _string_dilaton
+from .arith import Exponents, as_exponents, bernoulli, multinomial, partitions
+from .psi import _GRAPH_MEMO as _DELTA_MEMO  # the delta route's memo, for tracing and tests
 from .strata import (
     StrataExpression,
+    _recursive,
     delta0_graph,
     delta_graph,
     expression_integral,
@@ -51,6 +53,8 @@ DELTA_METHODS = ("delta_closed", "delta_recursive", "delta_brute")
 LAMBDA2_METHODS = ("lambda2_closed", "lambda2_eq5", "lambda2_eq3", "lambda_g_pred")
 VERIFY_METHODS = DELTA_METHODS + LAMBDA2_METHODS
 
+_DELTA_GRAPH = delta_graph()  # built once, as the delta route runs per partition
+
 
 def _check_partition(n: int, exponents: Iterable[int]) -> Exponents:
     k = as_exponents(exponents)
@@ -70,13 +74,14 @@ def pullback_delta_closed(n: int, exponents: Iterable[int]) -> Fraction:
 
 
 def pullback_delta_recursive(n: int, exponents: Iterable[int]) -> Fraction:
-    """The same integral by induction on n, on the string/dilaton engine of
-    :mod:`tautint.psi`: the pullback analogues of the string equation and of
-    the dilaton equation (factor n+1), from the one-point integral 1/24 at
+    """The same integral by induction on n: the graph-level string/dilaton
+    engine run on ``delta_graph()``, with the pullback analogues of the string
+    equation and of the dilaton equation (factor n+1).  Its only
+    non-recursive input is the stratum sum at n <= 1, which is 1/24 at
     exponent 2.
     """
     k = _check_partition(n, exponents)
-    return _string_dilaton(_DELTA_MEMO, 2, canonical(k))
+    return _recursive(_DELTA_GRAPH, k)
 
 
 def lambda2_closed(n: int, exponents: Iterable[int]) -> Fraction:
@@ -143,7 +148,7 @@ class VerificationReport:
 
     ``agreed`` means every route within each method group returned the same
     value (the delta-stratum routes form one group, the Hodge-class routes
-    the other; values across groups differ by the constant factor 7/240).
+    the other), and that the Hodge-class value is 7/240 times the delta one.
     """
 
     n: int
@@ -172,5 +177,6 @@ def verify(n_max: int) -> Iterator[VerificationReport]:
             agreed = (
                 len({values[m] for m in DELTA_METHODS}) == 1
                 and len({values[m] for m in LAMBDA2_METHODS}) == 1
+                and values["lambda2_closed"] == Fraction(7, 240) * values["delta_closed"]
             )
             yield VerificationReport(n=n, partition=k, values=values, agreed=agreed)

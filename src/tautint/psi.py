@@ -3,9 +3,12 @@
 The integrals <psi_1^{k_1} ... psi_n^{k_n}> over the moduli space of stable
 n-pointed curves are computed by memoized string/dilaton recursion from the
 two base values <1>_{0,3} = 1 and <psi_1>_{1,1} = 1/24.  The same iterative
-engine, with base value 1/24 at exponent (2,), runs the genus-2 delta
-recursion of :mod:`tautint.identities`.  A closed-form multinomial
-evaluation in genus 0 is kept as an independent cross-check.
+engine, keyed by a genus-2 dual graph in place of a genus, runs the string
+and dilaton laws of that graph's forgetful pullbacks down to its stratum sum:
+the delta route of :mod:`tautint.identities` is the engine on
+``delta_graph()``, whose only non-recursive input is the stratum sum at
+n <= 1.  A closed-form multinomial evaluation in genus 0 is kept as an
+independent cross-check.
 
 Inputs are checked at the public edge only: :func:`psi_integral` checks, then
 calls the check-free ``_integral``; the strata evaluator calls that directly.
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .arith import Exponents, as_exponents, canonical, multinomial
 
@@ -48,18 +51,19 @@ class ModuliIndex:
         return 2 * self.genus - 2 + self.marks > 0
 
 
-# Memos keyed on (genus, descending-sorted exponents), one per family.  A plain
-# dict is enough for concurrent use in CPython: reads and writes of immutable
-# values are atomic, and racing threads can only ever insert the identical Fraction.
+# Memos keyed on (genus or graph, descending-sorted exponents).  A plain dict
+# is enough for concurrent use in CPython: reads and writes of immutable values
+# are atomic, and racing threads can only ever insert the identical Fraction.
 _CACHE: dict[tuple[int, Exponents], Fraction] = {}
-_DELTA_MEMO: dict[tuple[int, Exponents], Fraction] = {}  # genus 2: the delta family
-_BASE = {(0, (0, 0, 0)): Fraction(1), (1, (1,)): Fraction(1, 24), (2, (2,)): Fraction(1, 24)}
+_GRAPH_MEMO: dict[tuple[object, Exponents], Fraction] = {}  # filled by strata._recursive
+_BASE = {0: {(0, 0, 0): Fraction(1)}, 1: {(1,): Fraction(1, 24)}}
 
 
 def clear_cache() -> None:
-    """Drop all memoized integrals (mainly for tests and benchmarks)."""
+    """Drop all memoized integrals, the graph engine's too (mainly for tests
+    and benchmarks)."""
     _CACHE.clear()
-    _DELTA_MEMO.clear()
+    _GRAPH_MEMO.clear()
 
 
 def psi_integral(space: ModuliIndex, exponents: Iterable[int]) -> Fraction:
@@ -88,40 +92,45 @@ def _integral(genus: int, k: Exponents) -> Fraction:
     # Check-free entry: k holds nonnegative ints on a stable genus-0/1 index.
     if sum(k) != 3 * genus - 3 + len(k):
         return Fraction(0)
-    return _string_dilaton(_CACHE, genus, canonical(k))
+    return _string_dilaton(_CACHE, genus, 2 * genus - 2, _BASE[genus].get, canonical(k))
 
 
-def _string_dilaton(table: dict, genus: int, k: Exponents) -> Fraction:
-    # Invariants: k sorted descending with the family's degree (3g-3+n, or
-    # n+1 for the delta family), index stable.  Pending steps wait on an
-    # explicit stack, so the depth is not bounded by Python's recursion limit.
-    value = table.get((genus, k))
-    stack = [] if value is not None else [(k, _step(table, genus, k))]
+def _string_dilaton(table: dict, key: object, euler: int,
+                    base: Callable[[Exponents], Fraction | None], k: Exponents) -> Fraction:
+    # The values of one family, memoized in ``table`` under (key, k): psi
+    # integrals of genus ``key``, or pullbacks of the graph ``key``.  ``euler``
+    # is the family's 2g-2 plus legs; ``base(k)`` is the value where string
+    # and dilaton do not apply, else None.  k is sorted descending.  Pending
+    # steps wait on an explicit stack, so the depth is not bounded by
+    # Python's recursion limit.
+    value = table.get((key, k))
+    stack = [] if value is not None else [(k, _step(table, key, euler, base, k))]
     while stack:
         k, step = stack[-1]
         try:
             needed = step.send(value)
         except StopIteration as done:
             stack.pop()
-            value = table[genus, k] = done.value
+            value = table[key, k] = done.value
         else:
             value = None
-            stack.append((needed, _step(table, genus, needed)))
+            stack.append((needed, _step(table, key, euler, base, needed)))
     return value
 
 
-def _step(table: dict, genus: int, k: Exponents):
+def _step(table: dict, key: object, euler: int, base: Callable, k: Exponents):
     # One induction step: yields each smaller exponent vector missing from
     # ``table`` and is sent its value.
-    if (genus, k) in _BASE:
-        return _BASE[genus, k]
+    value = base(k)
+    if value is not None:
+        return value
     rest = k[:-1]
     if k[-1]:
-        # No zero part forces a last exponent of 1 (genus 1: all ones; the
-        # delta family: n+1 over n positive parts), so the dilaton equation
-        # applies: the factor is 2g-2+n counted after forgetting the point.
-        value = table.get((genus, rest))
-        return (2 * genus - 3 + len(k)) * ((yield rest) if value is None else value)
+        # Off the base, no zero part means a last exponent of 1 (in genus 1
+        # with matched degree: all ones), so the dilaton equation applies:
+        # the factor is euler+n counted after forgetting the point.
+        value = table.get((key, rest))
+        return (euler - 1 + len(k)) * ((yield rest) if value is None else value)
     # String equation: forget a point with exponent 0 and redistribute one
     # unit of exponent among the remaining points.  Equal parts give equal
     # terms, so each run counts once, decremented at its end to stay sorted.
@@ -129,7 +138,7 @@ def _step(table: dict, genus: int, k: Exponents):
     for end, part in enumerate(rest, 1):
         if part and (end == len(rest) or rest[end] < part):
             smaller = rest[:end - 1] + (part - 1,) + rest[end:]
-            value = table.get((genus, smaller))
+            value = table.get((key, smaller))
             total += rest.count(part) * ((yield smaller) if value is None else value)
     return total
 

@@ -27,8 +27,9 @@ multiset.  Decorations of total degree
 >= 2 on one vertex would need products of boundary divisors and are rejected
 whenever marks are being distributed.
 
-Public evaluators check the graph and exponents once; per-vertex integrals then
-call the psi engine's check-free entry, as a valid graph's vertices are stable.
+Public evaluators check a graph once (until :func:`clear_cache`) and the
+exponents on each call; per-vertex integrals then call the psi engine's
+check-free entry, as a valid graph's vertices are stable.
 
 Graph literal format (also accepted by the CLI as ``file:<path>``)::
 
@@ -45,6 +46,7 @@ must be unique.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -53,7 +55,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 from .arith import Exponents, canonical
-from .psi import ModuliIndex, UnsupportedGenusError, _integral
+from .psi import _GRAPH_MEMO, ModuliIndex, UnsupportedGenusError, _integral, _string_dilaton
 
 __all__ = [
     "EdgeEnd",
@@ -371,9 +373,11 @@ def _vertex_factor(genus: int, fixed: Exponents, assigned: Exponents) -> VertexF
     return VertexFactor(space, assigned + fixed, _factor_value(genus, fixed, canonical(assigned)))
 
 
-def _require_evaluable(graph: DualGraph, exponents: Iterable[int]) -> Exponents:
-    # The graph is checked before the exponents, so a bad graph is named first.
-    k = tuple(int(v) for v in exponents)
+@functools.cache
+def _check_graph(graph: DualGraph) -> int | None:
+    # The checks that see only the graph, run once per evaluable graph (an
+    # invalid one raises, which is not cached).  Returns a vertex whose
+    # decorations have total degree >= 2, which rules out marks, if any.
     report = validate_graph(graph)
     if not report.ok:
         if all(v.kind == "unsupported-genus" for v in report.violations):
@@ -382,13 +386,18 @@ def _require_evaluable(graph: DualGraph, exponents: Iterable[int]) -> Exponents:
     genus = total_genus(graph)
     if genus != 2:
         raise ValueError(f"graph has total genus {genus}; the evaluator covers genus 2")
-    if k:
-        for v in range(graph.vertex_count):
-            if sum(graph.fixed_exponents(v)) >= 2:
-                raise UnsupportedDecorationError(
-                    f"vertex v{v} carries decorations of total degree >= 2; only a "
-                    "single unit decoration per vertex can be pulled back exactly"
-                )
+    return next((v for v in range(graph.vertex_count) if sum(graph.fixed_exponents(v)) >= 2), None)
+
+
+def _require_evaluable(graph: DualGraph, exponents: Iterable[int]) -> Exponents:
+    # The graph is checked before the exponents, so a bad graph is named first.
+    k = tuple(int(v) for v in exponents)
+    heavy = _check_graph(graph)
+    if k and heavy is not None:
+        raise UnsupportedDecorationError(
+            f"vertex v{heavy} carries decorations of total degree >= 2; only a "
+            "single unit decoration per vertex can be pulled back exactly"
+        )
     if any(v < 0 for v in k):
         raise ValueError(f"exponents must be nonnegative, got {k}")
     return k
@@ -422,10 +431,11 @@ _PULLBACK_CACHE: dict[tuple[DualGraph, Exponents], Fraction] = {}
 
 
 def clear_cache() -> None:
-    """Drop memoized pullback integrals and vertex factors (mainly for tests
-    and benchmarks)."""
+    """Drop memoized pullback integrals, vertex factors and graph checks
+    (mainly for tests and benchmarks)."""
     _PULLBACK_CACHE.clear()
     _FACTOR_CACHE.clear()
+    _check_graph.cache_clear()
 
 
 def _orbit_cost(marks: int, vertex_count: int, decorated: int, counts: tuple[int, ...]) -> int:
@@ -471,6 +481,17 @@ def _orbit_sum(graph: DualGraph, k: Exponents) -> Fraction:
                     reached[rest] = reached.get(rest, 0) + total * _choose(left, taken) * factor
         states = reached
     return states.get((0,) * len(counts), Fraction(0))
+
+
+def _recursive(graph: DualGraph, exponents: Iterable[int]) -> Fraction:
+    # The paper's induction on the marks, for an evaluable graph with L legs:
+    # the string law P(k+(0,)) = sum_j P(k-e_j) and the dilaton law
+    # P(k+(1,)) = (2+L+n) P(k), down to the stratum sum once every exponent
+    # is >= 2, where the degree bound leaves at most 3+L-|E|-decorations marks.
+    def base(k: Exponents) -> Fraction | None:
+        return _orbit_sum(graph, k) if not k or k[-1] > 1 else None
+
+    return _string_dilaton(_GRAPH_MEMO, graph, 2 + len(graph.legs), base, canonical(exponents))
 
 
 def pullback_integral(graph: DualGraph, exponents: Iterable[int] = ()) -> Fraction:

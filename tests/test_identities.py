@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from tautint import identities, psi, strata
 from tautint.arith import multinomial, partitions
 from tautint.identities import (
     DELTA_METHODS,
@@ -62,6 +63,27 @@ class TestDeltaRecursive:
             closed = pullback_delta_closed(n, k)
             assert pullback_delta_recursive(n, k) == closed
             assert pullback_integral(delta_graph(), k) == closed
+
+    def test_every_partition_through_n20_matches_closed_form(self):
+        for n in range(1, 21):
+            for k in partitions(n + 1, n):
+                assert pullback_delta_recursive(n, k) == pullback_delta_closed(n, k), k
+
+    def test_only_stratum_sum_input_is_the_one_point_base(self, monkeypatch):
+        seen = set()
+        orbit_sum = strata._orbit_sum
+
+        def recorded(graph, k):
+            seen.add((graph, k))
+            return orbit_sum(graph, k)
+
+        monkeypatch.setattr(strata, "_orbit_sum", recorded)
+        psi.clear_cache()
+        strata.clear_cache()
+        for n in range(1, 11):
+            for k in partitions(n + 1, n):
+                pullback_delta_recursive(n, k)
+        assert seen == {(delta_graph(), (2,))}
 
     @pytest.mark.parametrize("k", [(1101,) + (0,) * 1099, (2,) + (1,) * 1099])
     def test_deep_input_matches_closed_form(self, k):
@@ -189,6 +211,16 @@ class TestVerify:
 
     def test_all_agree_through_n6(self):
         assert all(report.agreed for report in verify(6))
+
+    def test_lambda2_group_must_be_7_240_of_delta_group(self, monkeypatch):
+        # Doubling all four Hodge-class routes keeps each group consistent,
+        # but breaks the ratio between the groups.
+        for name in ("lambda2_closed", "lambda2_integral", "lambda_g_prediction"):
+            route = getattr(identities, name)
+            monkeypatch.setattr(identities, name, lambda *args, route=route: 2 * route(*args))
+        (report,) = list(verify(1))
+        assert {report.values[m] for m in LAMBDA2_METHODS} == {Fraction(7, 2880)}
+        assert not report.agreed
 
     def test_nonpositive_n_max_rejected(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tautint import strata
+from tautint import psi, strata
 from tautint.arith import partitions
 from tautint.psi import ModuliIndex, UnsupportedGenusError, psi_integral
 from tautint.strata import (
@@ -330,6 +330,63 @@ class TestOrbitSum:
         assert strata._FACTOR_CACHE and strata._PULLBACK_CACHE
         strata.clear_cache()
         assert not strata._FACTOR_CACHE and not strata._PULLBACK_CACHE
+
+    def test_graph_checked_once_over_many_misses(self, monkeypatch):
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            return validate_graph(graph)
+
+        monkeypatch.setattr(strata, "validate_graph", counted)
+        strata.clear_cache()
+        for n in range(1, 7):
+            for k in partitions(n + 1, n):
+                pullback_integral(delta_graph(), k)
+        assert calls == [delta_graph()]
+        broken = DualGraph(genera=(1, 1))
+        for _ in range(2):  # a failed check is not remembered
+            with pytest.raises(InvalidGraphError):
+                pullback_integral(broken, (1,))
+        assert calls == [delta_graph(), broken, broken]
+
+
+def degree_matched(graph, n, top):
+    """The multisets of n exponents <= top whose degree is the pullback's
+    dimension 3 + n + legs - edges - decorations."""
+    decorations = sum(sum(graph.fixed_exponents(v)) for v in range(graph.vertex_count))
+    degree = 3 + n + len(graph.legs) - len(graph.edges) - decorations
+    return [k for k in itertools.combinations_with_replacement(range(top + 1), n) if sum(k) == degree]
+
+
+class TestGraphEngine:
+    """The paper's induction: string and dilaton laws on a graph, down to the
+    stratum sum."""
+
+    @pytest.mark.parametrize("name", ORBIT_GRAPHS)
+    def test_recursion_equals_orbit_sum(self, name):
+        graph = ORBIT_GRAPHS[name]
+        n_max = {1: 7, 2: 7, 3: 6, 4: 5}[graph.vertex_count]
+        psi.clear_cache()
+        strata.clear_cache()
+        inputs = [k for n in range(n_max + 1) for k in degree_matched(graph, n, 4)]
+        assert len(inputs) > n_max
+        for k in inputs:
+            assert strata._recursive(graph, k) == pullback_integral(graph, k), k
+
+    def test_base_reached_only_where_every_exponent_is_at_least_two(self, monkeypatch):
+        graph = LAW_GRAPHS["legged-two-vertex"]
+        seen = []
+        orbit_sum = strata._orbit_sum
+
+        def recorded(graph, k):
+            seen.append(k)
+            return orbit_sum(graph, k)
+
+        monkeypatch.setattr(strata, "_orbit_sum", recorded)
+        psi.clear_cache()
+        strata._recursive(graph, (3, 2, 1, 1, 0, 0, 0))
+        assert seen and all(min(k, default=2) >= 2 for k in seen)
 
 
 class TestStrataExpression:
