@@ -7,6 +7,7 @@ Every value in this package is an arbitrary-precision ``int`` or
 from __future__ import annotations
 
 import math
+import operator
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -28,9 +29,22 @@ __all__ = [
 Exponents = tuple[int, ...]
 
 
+def _as_ints(values: Iterable[int]) -> tuple[int, ...]:
+    # operator.index takes ints and int subclasses (bool) at their value as
+    # plain ints, and refuses a float, str or Fraction that int() would
+    # truncate or parse.
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        bad = next((v for v in values if not hasattr(v, "__index__")), values)
+        raise ValueError(f"exponents must be integers, got {bad!r}") from None
+
+
 def as_exponents(values: Iterable[int]) -> Exponents:
-    """Coerce an iterable of psi exponents to a validated tuple."""
-    k = tuple(int(v) for v in values)
+    """Coerce an iterable of psi exponents to a validated tuple of ints;
+    a non-integer entry raises ValueError."""
+    k = _as_ints(values)
     if not k:
         raise ValueError("exponent vector must have at least one entry")
     if any(v < 0 for v in k):

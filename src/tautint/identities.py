@@ -47,13 +47,23 @@ __all__ = [
     "VERIFY_METHODS",
 ]
 
-LAMBDA2_METHOD_NAMES = ("eq5", "eq3")
-
 DELTA_METHODS = ("delta_closed", "delta_recursive", "delta_brute")
 LAMBDA2_METHODS = ("lambda2_closed", "lambda2_eq5", "lambda2_eq3", "lambda_g_pred")
 VERIFY_METHODS = DELTA_METHODS + LAMBDA2_METHODS
 
-_DELTA_GRAPH = delta_graph()  # built once, as the delta route runs per partition
+_DELTA_GRAPH = delta_graph()  # built once, as the delta routes run per partition
+
+_LAMBDA2_EXPRESSIONS = {  # see lambda2_expression; built once, as verify uses both per row
+    "eq5": StrataExpression((
+        (Fraction(1, 1152) + Fraction(1, 5760), delta0_graph()),
+        (Fraction(1, 240), _DELTA_GRAPH),
+    )),
+    "eq3": StrataExpression((
+        (Fraction(1, 240), gamma_psi_graph()),
+        (Fraction(1, 1152), delta0_graph()),
+    )),
+}
+LAMBDA2_METHOD_NAMES = tuple(_LAMBDA2_EXPRESSIONS)
 
 
 def _check_partition(n: int, exponents: Iterable[int]) -> Exponents:
@@ -97,17 +107,9 @@ def lambda2_expression(method: str) -> StrataExpression:
     psi-decorated loop graph, ``eq5`` is the fully reduced two-graph
     combination.  Both integrate to the same values; the verifier checks it.
     """
-    if method == "eq3":
-        return StrataExpression((
-            (Fraction(1, 240), gamma_psi_graph()),
-            (Fraction(1, 1152), delta0_graph()),
-        ))
-    if method == "eq5":
-        return StrataExpression((
-            (Fraction(1, 1152) + Fraction(1, 5760), delta0_graph()),
-            (Fraction(1, 240), delta_graph()),
-        ))
-    raise ValueError(f"unknown method {method!r}; choices: {', '.join(LAMBDA2_METHOD_NAMES)}")
+    if method not in _LAMBDA2_EXPRESSIONS:
+        raise ValueError(f"unknown method {method!r}; choices: {', '.join(LAMBDA2_METHOD_NAMES)}")
+    return _LAMBDA2_EXPRESSIONS[method]
 
 
 def lambda2_integral(n: int, exponents: Iterable[int], method: str = "eq5") -> Fraction:
@@ -168,7 +170,7 @@ def verify(n_max: int) -> Iterator[VerificationReport]:
             values = {
                 "delta_closed": pullback_delta_closed(n, k),
                 "delta_recursive": pullback_delta_recursive(n, k),
-                "delta_brute": pullback_integral(delta_graph(), k),
+                "delta_brute": pullback_integral(_DELTA_GRAPH, k),
                 "lambda2_closed": lambda2_closed(n, k),
                 "lambda2_eq5": lambda2_integral(n, k, "eq5"),
                 "lambda2_eq3": lambda2_integral(n, k, "eq3"),

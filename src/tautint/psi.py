@@ -2,13 +2,16 @@
 
 The integrals <psi_1^{k_1} ... psi_n^{k_n}> over the moduli space of stable
 n-pointed curves are computed by memoized string/dilaton recursion from the
-two base values <1>_{0,3} = 1 and <psi_1>_{1,1} = 1/24.  The same iterative
-engine, keyed by a genus-2 dual graph in place of a genus, runs the string
-and dilaton laws of that graph's forgetful pullbacks down to its stratum sum:
-the delta route of :mod:`tautint.identities` is the engine on
-``delta_graph()``, whose only non-recursive input is the stratum sum at
-n <= 1.  A closed-form multinomial evaluation in genus 0 is kept as an
-independent cross-check.
+two base values <1>_{0,3} = 1 and <psi_1>_{1,1} = 1/24.  Every coefficient
+of those steps is an integer (a run length or the dilaton factor), so the
+engine runs on Python ints: it memoizes N = 24^g * value, starting from the
+base N = 1 in both genera, and the edge builds the one ``Fraction`` N/24^g.
+The same iterative engine, keyed by a genus-2 dual graph in place of a
+genus, runs the string and dilaton laws of that graph's forgetful pullbacks
+down to its stratum sum: the delta route of :mod:`tautint.identities` is the
+engine on ``delta_graph()``, whose only non-recursive input is the stratum
+sum at n <= 1.  A closed-form multinomial evaluation in genus 0 is kept as
+an independent cross-check.
 
 Inputs are checked at the public edge only: :func:`psi_integral` checks, then
 calls the check-free ``_integral``; the strata evaluator calls that directly.
@@ -51,12 +54,13 @@ class ModuliIndex:
         return 2 * self.genus - 2 + self.marks > 0
 
 
-# Memos keyed on (genus or graph, descending-sorted exponents).  A plain dict
-# is enough for concurrent use in CPython: reads and writes of immutable values
-# are atomic, and racing threads can only ever insert the identical Fraction.
-_CACHE: dict[tuple[int, Exponents], Fraction] = {}
+# Memos keyed on (genus or graph, descending-sorted exponents); _CACHE holds
+# the int N = 24^g * value.  A plain dict is enough for concurrent use in
+# CPython: reads and writes of immutable values are atomic, and racing
+# threads can only ever insert the identical value.
+_CACHE: dict[tuple[int, Exponents], int] = {}
 _GRAPH_MEMO: dict[tuple[object, Exponents], Fraction] = {}  # filled by strata._recursive
-_BASE = {0: {(0, 0, 0): Fraction(1)}, 1: {(1,): Fraction(1, 24)}}
+_BASE = {0: {(0, 0, 0): 1}, 1: {(1,): 1}}  # 24^g times <1>_{0,3} and <psi_1>_{1,1}
 
 
 def clear_cache() -> None:
@@ -92,17 +96,19 @@ def _integral(genus: int, k: Exponents) -> Fraction:
     # Check-free entry: k holds nonnegative ints on a stable genus-0/1 index.
     if sum(k) != 3 * genus - 3 + len(k):
         return Fraction(0)
-    return _string_dilaton(_CACHE, genus, 2 * genus - 2, _BASE[genus].get, canonical(k))
+    return Fraction(_string_dilaton(_CACHE, genus, 2 * genus - 2, _BASE[genus].get, canonical(k)),
+                    24 ** genus)
 
 
 def _string_dilaton(table: dict, key: object, euler: int,
-                    base: Callable[[Exponents], Fraction | None], k: Exponents) -> Fraction:
+                    base: Callable[[Exponents], int | Fraction | None], k: Exponents):
     # The values of one family, memoized in ``table`` under (key, k): psi
-    # integrals of genus ``key``, or pullbacks of the graph ``key``.  ``euler``
-    # is the family's 2g-2 plus legs; ``base(k)`` is the value where string
-    # and dilaton do not apply, else None.  k is sorted descending.  Pending
-    # steps wait on an explicit stack, so the depth is not bounded by
-    # Python's recursion limit.
+    # integrals of genus ``key`` (as ints N), or pullbacks of the graph ``key``.
+    # The steps only add and multiply by ints, so values keep the base's type
+    # (an empty string sum is the int 0).  ``euler`` is the family's 2g-2 plus
+    # legs; ``base(k)`` is the value where string and dilaton do not apply,
+    # else None.  k is sorted descending.  Pending steps wait on an explicit
+    # stack, so the depth is not bounded by Python's recursion limit.
     value = table.get((key, k))
     stack = [] if value is not None else [(k, _step(table, key, euler, base, k))]
     while stack:
@@ -134,7 +140,7 @@ def _step(table: dict, key: object, euler: int, base: Callable, k: Exponents):
     # String equation: forget a point with exponent 0 and redistribute one
     # unit of exponent among the remaining points.  Equal parts give equal
     # terms, so each run counts once, decremented at its end to stay sorted.
-    total = Fraction(0)
+    total = 0
     for end, part in enumerate(rest, 1):
         if part and (end == len(rest) or rest[end] < part):
             smaller = rest[:end - 1] + (part - 1,) + rest[end:]

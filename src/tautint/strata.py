@@ -50,11 +50,11 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .arith import Exponents, canonical
+from .arith import Exponents, _as_ints, canonical
 from .psi import _GRAPH_MEMO, ModuliIndex, UnsupportedGenusError, _integral, _string_dilaton
 
 __all__ = [
@@ -123,6 +123,8 @@ class DualGraph:
     genera: tuple[int, ...]
     edges: tuple[Edge, ...] = ()
     legs: tuple[Leg, ...] = ()
+    # Hashed once: graphs key the pullback memos, probed on every call.
+    _hash: int = field(default=0, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "genera", tuple(int(g) for g in self.genera))
@@ -135,6 +137,14 @@ class DualGraph:
         legs = tuple(sorted(Leg(str(l[0]), int(l[1]), int(l[2]) if len(l) > 2 else 0)
                             for l in self.legs))
         object.__setattr__(self, "legs", legs)
+        object.__setattr__(self, "_hash", hash((self.genera, self.edges, self.legs)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild on unpickling, as str hashes differ between processes.
+        return DualGraph, (self.genera, self.edges, self.legs)
 
     @property
     def vertex_count(self) -> int:
@@ -391,7 +401,7 @@ def _check_graph(graph: DualGraph) -> int | None:
 
 def _require_evaluable(graph: DualGraph, exponents: Iterable[int]) -> Exponents:
     # The graph is checked before the exponents, so a bad graph is named first.
-    k = tuple(int(v) for v in exponents)
+    k = _as_ints(exponents)
     heavy = _check_graph(graph)
     if k and heavy is not None:
         raise UnsupportedDecorationError(
@@ -491,7 +501,8 @@ def _recursive(graph: DualGraph, exponents: Iterable[int]) -> Fraction:
     def base(k: Exponents) -> Fraction | None:
         return _orbit_sum(graph, k) if not k or k[-1] > 1 else None
 
-    return _string_dilaton(_GRAPH_MEMO, graph, 2 + len(graph.legs), base, canonical(exponents))
+    return Fraction(_string_dilaton(_GRAPH_MEMO, graph, 2 + len(graph.legs), base,
+                                    canonical(exponents)))
 
 
 def pullback_integral(graph: DualGraph, exponents: Iterable[int] = ()) -> Fraction:
@@ -504,7 +515,7 @@ def pullback_integral(graph: DualGraph, exponents: Iterable[int] = ()) -> Fracti
     monomial of the wrong total degree gives 0 at once.  Raises ValueError
     when the orbit sum's estimated cost exceeds ``MAX_ORBIT_COST``.
     """
-    k = tuple(int(v) for v in exponents)
+    k = _as_ints(exponents)
     # Only checked inputs are cached, and the checks see only the graph and
     # the multiset of k, so a hit needs no check.
     key = (graph, canonical(k))

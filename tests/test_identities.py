@@ -152,6 +152,19 @@ class TestLambda2:
         assert len(lambda2_expression("eq5").terms) == 2
         assert len(lambda2_expression("eq3").terms) == 2
 
+    def test_expressions_are_built_once_with_the_same_terms(self):
+        assert lambda2_expression("eq5") is lambda2_expression("eq5")
+        assert lambda2_expression("eq3") == strata.StrataExpression((
+            (Fraction(1, 240), strata.gamma_psi_graph()),
+            (Fraction(1, 1152), strata.delta0_graph()),
+        ))
+        assert lambda2_expression("eq5") == strata.StrataExpression((
+            (Fraction(1, 1152) + Fraction(1, 5760), strata.delta0_graph()),
+            (Fraction(1, 240), delta_graph()),
+        ))
+        with pytest.raises(ValueError, match="unknown method 'eq4'; choices: eq5, eq3"):
+            lambda2_expression("eq4")
+
 
 class TestLambdaG:
     @pytest.mark.parametrize(
@@ -221,6 +234,14 @@ class TestVerify:
         (report,) = list(verify(1))
         assert {report.values[m] for m in LAMBDA2_METHODS} == {Fraction(7, 2880)}
         assert not report.agreed
+
+    def test_rows_build_no_graphs(self, monkeypatch):
+        built = []
+        post_init = strata.DualGraph.__post_init__
+        monkeypatch.setattr(strata.DualGraph, "__post_init__",
+                            lambda graph: built.append(graph) or post_init(graph))
+        assert all(report.agreed for report in verify(5))
+        assert built == []
 
     def test_nonpositive_n_max_rejected(self):
         with pytest.raises(ValueError):

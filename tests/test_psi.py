@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import given, strategies as st
 from tautint import identities, psi
 from tautint.arith import partitions
 from tautint.psi import ModuliIndex, UnsupportedGenusError, genus0_closed_form, psi_integral
+from tautint.strata import delta_graph, pullback_integral, stratum_terms
 
 
 def genus1_closed_form(k):
@@ -166,6 +168,74 @@ class TestPsiIntegral:
                 jobs * 4,
             ))
         assert threaded == serial * 4
+
+
+def random_monomial(rng, genus, n):
+    # A degree-matched exponent vector: 3g-3+n units dropped on a random
+    # number of the n points, so both flat and steep vectors occur.
+    k = [0] * n
+    points = rng.randint(1, n)
+    for _ in range(3 * genus - 3 + n):
+        k[rng.randrange(points)] += 1
+    return tuple(k)
+
+
+class TestIntegerEngine:
+    """The engine memoizes N = 24^g * value as an int; the edge divides."""
+
+    def test_benchmark_sizes_match_closed_forms_in_one_cold_memo(self):
+        rng = random.Random(2024)
+        sizes = [(0, 26), (1, 20), (0, 30), (1, 24)]
+        oracle = {0: genus0_closed_form, 1: genus1_closed_form}
+        psi.clear_cache()
+        for _ in range(50):  # the two genera interleaved
+            for genus, n in sizes:
+                k = random_monomial(rng, genus, n)
+                value = psi_integral(ModuliIndex(genus, n), k)
+                assert type(value) is Fraction
+                assert value == oracle[genus](k), (genus, k)
+        assert psi._CACHE
+        assert all(type(n) is int for n in psi._CACHE.values())
+
+    def test_memo_holds_the_value_times_24_to_the_genus(self):
+        psi.clear_cache()
+        assert psi_integral(ModuliIndex(1, 3), (2, 1, 0)) == Fraction(1, 12)
+        assert psi_integral(ModuliIndex(0, 5), (1, 1, 0, 0, 0)) == 2
+        assert psi._CACHE[1, (2, 1, 0)] == 2
+        assert psi._CACHE[1, (1,)] == 1
+        assert psi._CACHE[0, (1, 1, 0, 0, 0)] == 2
+
+    def test_values_leave_the_engine_as_fractions(self):
+        psi.clear_cache()
+        assert type(psi_integral(ModuliIndex(0, 3), (0, 0, 0))) is Fraction
+        assert type(psi_integral(ModuliIndex(0, 4), (1, 0, 0, 0))) is Fraction
+        assert type(psi_integral(ModuliIndex(1, 1), (1,))) is Fraction
+        assert type(pullback_integral(delta_graph(), (2, 1, 1))) is Fraction
+        assert type(identities.pullback_delta_recursive(3, (2, 1, 1))) is Fraction
+        for term in stratum_terms(delta_graph(), (2, 1, 1)):
+            assert {f.space.genus for f in term.factors} == {0, 1}
+            for factor in term.factors:
+                assert type(factor.value) is Fraction
+
+
+class TestNonIntegerExponents:
+    @pytest.mark.parametrize("bad", [1.9, 1.0, "1", Fraction(1)])
+    def test_rejected_not_truncated(self, bad):
+        with pytest.raises(ValueError, match=f"must be integers, got {re.escape(repr(bad))}"):
+            psi_integral(ModuliIndex(0, 4), (bad, 0, 0, 0))
+        with pytest.raises(ValueError, match="must be integers"):
+            psi_integral(ModuliIndex(1, 1), iter([bad]))
+
+    def test_int_subclasses_count_as_their_value(self):
+        class Exponent(int):
+            pass
+
+        value = psi_integral(ModuliIndex(0, 4), (True, False, 0, 0))
+        assert value == 1 and type(value) is Fraction
+        assert psi_integral(ModuliIndex(1, 2), (Exponent(2), Exponent(0))) == Fraction(1, 24)
+        assert psi._CACHE and all(
+            type(part) is int for key in psi._CACHE for part in key[1]
+        )
 
 
 class TestGenus0ClosedForm:

@@ -1,6 +1,10 @@
 """Tests for dual graphs, validation, and stratum-pullback evaluation."""
 
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -121,6 +125,21 @@ class TestPullbackIntegral:
                         for factor in term.factors
                     )
                     assert (term.value != 0) == matched
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "2", Fraction(2)])
+    def test_non_integer_exponents_rejected_not_truncated(self, bad):
+        for evaluate in (pullback_integral, lambda g, k: list(stratum_terms(g, k))):
+            with pytest.raises(ValueError, match="must be integers"):
+                evaluate(delta_graph(), (bad, 1))
+
+    def test_int_subclass_exponents_count_as_their_value(self):
+        class Exponent(int):
+            pass
+
+        strata.clear_cache()
+        assert pullback_integral(delta_graph(), (Exponent(2), True)) == Fraction(1, 8)
+        assert pullback_integral(delta_graph(), iter([True, 2, True])) == Fraction(1, 2)
+        assert all(type(part) is int for _, k in strata._PULLBACK_CACHE for part in k)
 
     @given(st.permutations([3, 1, 1, 0]))
     def test_relabeling_invariance(self, k):
@@ -417,6 +436,44 @@ class TestStrataExpression:
             (Fraction(-1), delta_graph()),
         ))
         assert expr.terms == ()
+
+
+def legged_loop():
+    return DualGraph(genera=(1, 0), edges=((0, 1), ((1, 1), (1, 0))), legs=(("x", 1),))
+
+
+class TestGraphHash:
+    LEGGED = legged_loop()
+
+    @pytest.mark.parametrize("build", [delta_graph, legged_loop])
+    def test_hash_computed_once_with_the_dataclass_value(self, build):
+        graph = build()
+        assert hash(graph) == hash((graph.genera, graph.edges, graph.legs))
+        object.__setattr__(graph, "_hash", 12345)  # the stored value is what hash() reads
+        assert hash(graph) == 12345
+
+    def test_hash_field_is_invisible(self):
+        graph = self.LEGGED
+        rebuilt = DualGraph(genera=(1, 0), edges=(((1, 0), (1, 1)), (1, 0)), legs=(("x", 1, 0),))
+        assert rebuilt == graph and hash(rebuilt) == hash(graph)
+        assert "_hash" not in repr(graph)
+        assert repr(graph).endswith("legs=(Leg(label='x', vertex=1, psi=0),))")
+        assert DualGraph.__match_args__ == ("genera", "edges", "legs")
+
+    def test_unpickled_graph_rehashes_in_the_new_process(self):
+        # str hashes differ between processes, so a pickled graph must not
+        # carry its hash along.
+        code = (
+            "import pickle, sys; from tautint.strata import DualGraph; "
+            "sys.stdout.buffer.write(pickle.dumps("
+            "DualGraph(genera=(1, 0), edges=((0, 1), ((1, 1), (1, 0))), legs=(('x', 1),))))"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="1")  # conftest puts src/ on PYTHONPATH
+        dumped = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                check=True).stdout
+        loaded = pickle.loads(dumped)
+        assert loaded == self.LEGGED and hash(loaded) == hash(self.LEGGED)
+        assert {self.LEGGED: 1}[loaded] == 1
 
 
 class TestGraphText:
