@@ -29,7 +29,7 @@ __all__ = [
 Exponents = tuple[int, ...]
 
 
-def _as_ints(values: Iterable[int]) -> tuple[int, ...]:
+def _as_ints(values: Iterable[int], what: str = "exponents") -> tuple[int, ...]:
     # operator.index takes ints and int subclasses (bool) at their value as
     # plain ints, and refuses a float, str or Fraction that int() would
     # truncate or parse.
@@ -38,7 +38,7 @@ def _as_ints(values: Iterable[int]) -> tuple[int, ...]:
         return tuple(map(operator.index, values))
     except TypeError:
         bad = next((v for v in values if not hasattr(v, "__index__")), values)
-        raise ValueError(f"exponents must be integers, got {bad!r}") from None
+        raise ValueError(f"{what} must be integers, got {bad!r}") from None
 
 
 def as_exponents(values: Iterable[int]) -> Exponents:

@@ -14,11 +14,14 @@ sum at n <= 1.  A closed-form multinomial evaluation in genus 0 is kept as
 an independent cross-check.
 
 Inputs are checked at the public edge only: :func:`psi_integral` checks, then
-calls the check-free ``_integral``; the strata evaluator calls that directly.
+builds the one ``Fraction`` N/24^g from the check-free int entry ``_scaled``;
+the strata evaluator multiplies those ints directly.  An input whose memo
+would outgrow ``MAX_PSI_COST`` entries is refused before any work.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -54,12 +57,13 @@ class ModuliIndex:
         return 2 * self.genus - 2 + self.marks > 0
 
 
-# Memos keyed on (genus or graph, descending-sorted exponents); _CACHE holds
-# the int N = 24^g * value.  A plain dict is enough for concurrent use in
-# CPython: reads and writes of immutable values are atomic, and racing
-# threads can only ever insert the identical value.
+# Memos keyed on (genus or graph, descending-sorted exponents), holding the
+# int N = 24^g * value, g the genus or a graph's sum of vertex genera.  A
+# plain dict is enough for concurrent use in CPython: reads and writes of
+# immutable values are atomic, and racing threads can only ever insert the
+# identical value.
 _CACHE: dict[tuple[int, Exponents], int] = {}
-_GRAPH_MEMO: dict[tuple[object, Exponents], Fraction] = {}  # filled by strata._recursive
+_GRAPH_MEMO: dict[tuple[object, Exponents], int] = {}  # filled by strata._recursive
 _BASE = {0: {(0, 0, 0): 1}, 1: {(1,): 1}}  # 24^g times <1>_{0,3} and <psi_1>_{1,1}
 
 
@@ -77,8 +81,9 @@ def psi_integral(space: ModuliIndex, exponents: Iterable[int]) -> Fraction:
     dimension 3g-3+n; a degree mismatch is a value, not an error, so stratum
     evaluators can silently discard non-contributing terms.
 
-    Raises ValueError for an unstable index or a wrong-length exponent
-    vector, and UnsupportedGenusError for genus >= 2.
+    Raises ValueError for an unstable index, a wrong-length exponent vector
+    or an input whose memo would exceed ``MAX_PSI_COST`` entries, and
+    UnsupportedGenusError for genus >= 2.
     """
     k = as_exponents(exponents)
     if not space.is_stable:
@@ -89,15 +94,46 @@ def psi_integral(space: ModuliIndex, exponents: Iterable[int]) -> Fraction:
         )
     if len(k) != space.marks:
         raise ValueError(f"expected {space.marks} exponents, got {len(k)}")
-    return _integral(space.genus, k)
+    if len(k) > _FREE_MARKS and sum(k) == space.dimension:
+        if _fitting_partitions(canonical(k), MAX_PSI_COST) > MAX_PSI_COST:
+            raise ValueError(
+                f"psi integral with {len(k)} marks is too costly: its memo would "
+                f"exceed {MAX_PSI_COST} entries"
+            )
+    return Fraction(_scaled(space.genus, k), 24 ** space.genus)
 
 
-def _integral(genus: int, k: Exponents) -> Fraction:
+# Largest memo that psi_integral fills for one input.  At the slowest rate
+# measured, ~25 us per entry (2-vCPU Xeon, CPython 3.11), that is ~5 s.
+MAX_PSI_COST = 200_000
+# The memo holds at most one entry per partition of size <= the degree
+# 3g-3+n <= n, and there are 177 970 partitions of the sizes 0..39: inputs
+# of up to 39 marks are free.
+_FREE_MARKS = 39
+
+
+def _fitting_partitions(k: Exponents, limit: int) -> int:
+    # The partitions whose diagram fits inside that of k (sorted descending),
+    # counted row by row, stopping once past ``limit``.  The string and
+    # dilaton steps only lower parts and drop zeros, so every memo entry
+    # under k is one of them, padded with zeros to its degree-matched length.
+    # ways[v]: the choices of the rows so far whose last row is v, starting
+    # from a virtual row k[0] above the first
+    ways = [0] * k[0] + [1]
+    for bound in k:
+        if not bound or sum(ways) > limit:
+            break
+        # a row may be any v <= bound that does not exceed the row above it
+        ways = list(itertools.accumulate(reversed(ways)))[:-bound - 2:-1]
+    return sum(ways)
+
+
+def _scaled(genus: int, k: Exponents) -> int:
     # Check-free entry: k holds nonnegative ints on a stable genus-0/1 index.
+    # Returns N = 24^genus * value, and 0 on a degree mismatch.
     if sum(k) != 3 * genus - 3 + len(k):
-        return Fraction(0)
-    return Fraction(_string_dilaton(_CACHE, genus, 2 * genus - 2, _BASE[genus].get, canonical(k)),
-                    24 ** genus)
+        return 0
+    return _string_dilaton(_CACHE, genus, 2 * genus - 2, _BASE[genus].get, canonical(k))
 
 
 def _string_dilaton(table: dict, key: object, euler: int,

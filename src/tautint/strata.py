@@ -29,7 +29,15 @@ whenever marks are being distributed.
 
 Public evaluators check a graph once (until :func:`clear_cache`) and the
 exponents on each call; per-vertex integrals then call the psi engine's
-check-free entry, as a valid graph's vertices are stable.
+check-free int entry, as a valid graph's vertices are stable.  The layer runs
+on ints: a vertex factor is 24^g times its value and an orbit sum 24^G times
+its value, G the sum of the vertex genera.  The one ``Fraction`` is built at
+the edge: by :func:`pullback_integral` for its memo, by the graph engine's
+caller for the memo of ints it fills, and per vertex for
+:class:`VertexFactor`.
+
+Graph data (genera, vertices and psi of edge ends and legs) is taken at its
+integer value; a float, str or Fraction raises ValueError, never truncated.
 
 Graph literal format (also accepted by the CLI as ``file:<path>``)::
 
@@ -49,13 +57,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 from .arith import Exponents, _as_ints, canonical
-from .psi import _GRAPH_MEMO, ModuliIndex, UnsupportedGenusError, _integral, _string_dilaton
+from .psi import _GRAPH_MEMO, ModuliIndex, UnsupportedGenusError, _scaled, _string_dilaton
 
 __all__ = [
     "EdgeEnd",
@@ -103,10 +112,10 @@ class Leg(NamedTuple):
 
 
 def _as_end(end) -> EdgeEnd:
-    if isinstance(end, int):
-        return EdgeEnd(end, 0)
-    vertex, *rest = end
-    return EdgeEnd(int(vertex), int(rest[0]) if rest else 0)
+    # A bare vertex, or (vertex,) or (vertex, psi); every entry must be an int.
+    if not isinstance(end, (tuple, list)):
+        end = (end,)
+    return EdgeEnd(*_as_ints(end, "edge-end vertices and psi"))
 
 
 @dataclass(frozen=True)
@@ -127,15 +136,15 @@ class DualGraph:
     _hash: int = field(default=0, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "genera", tuple(int(g) for g in self.genera))
+        object.__setattr__(self, "genera", _as_ints(self.genera, "vertex genera"))
         edges = []
         for raw in self.edges:
             a, b = raw
             end_a, end_b = _as_end(a), _as_end(b)
             edges.append(Edge(end_a, end_b) if end_a <= end_b else Edge(end_b, end_a))
         object.__setattr__(self, "edges", tuple(sorted(edges)))
-        legs = tuple(sorted(Leg(str(l[0]), int(l[1]), int(l[2]) if len(l) > 2 else 0)
-                            for l in self.legs))
+        legs = tuple(sorted(Leg(str(label), *_as_ints(rest, f"leg {label!r} vertex and psi"))
+                            for label, *rest in self.legs))
         object.__setattr__(self, "legs", legs)
         object.__setattr__(self, "_hash", hash((self.genera, self.edges, self.legs)))
 
@@ -332,8 +341,11 @@ def _expand(values: Exponents, counts: Iterable[int]) -> Exponents:
     return tuple(itertools.chain.from_iterable(map(itertools.repeat, values, counts)))
 
 
-def _sub_multisets(counts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    return itertools.product(*(range(count + 1) for count in counts))
+def _sub_multisets(counts: tuple[int, ...], values: Exponents, need: int) -> Iterator[tuple[int, ...]]:
+    # The sub-multisets (as counts per value) whose sum of (x - 1) is ``need``.
+    weights = [x - 1 for x in values]
+    return (taken for taken in itertools.product(*(range(count + 1) for count in counts))
+            if sum(map(operator.mul, weights, taken)) == need)
 
 
 def _choose(counts: Iterable[int], taken: Iterable[int]) -> int:
@@ -341,46 +353,47 @@ def _choose(counts: Iterable[int], taken: Iterable[int]) -> int:
     return math.prod(map(math.comb, counts, taken))
 
 
-_FACTOR_CACHE: dict[tuple[int, Exponents, Exponents], Fraction] = {}
+_FACTOR_CACHE: dict[tuple[int, Exponents, Exponents], int] = {}
 
 
-def _factor_value(genus: int, fixed: Exponents, assigned: Exponents) -> Fraction:
-    """One vertex's factor for a descending multiset of assigned exponents.
+def _factor_value(genus: int, fixed: Exponents, assigned: Exponents) -> int:
+    """One vertex's factor, as the int 24^genus * value, for a descending
+    multiset of assigned exponents.
 
     For a decorated vertex the value includes the boundary corrections of the
     pulled-back decoration.  Memoized on (genus, fixed, assigned).
     """
     if sum(assigned) - len(assigned) != _excess(genus, fixed):
-        return Fraction(0)
+        return 0
     key = (genus, fixed, assigned)
     value = _FACTOR_CACHE.get(key)
     if value is not None:
         return value
-    value = _integral(genus, assigned + fixed)
+    value = _scaled(genus, assigned + fixed)
     if sum(fixed) and assigned:
         # Single unit decoration at one fixed point h.  The honest psi class
         # at h equals the pulled-back one plus the boundary divisors where h
         # bubbles off with a nonempty subset S of the vertex's marks, so
         # subtract, for each S, (vertex integral with h's decoration dropped
         # and S removed) times (genus-0 bubble integral over S's marks, h and
-        # the new node).  Subsets with the same multiset of exponents give
-        # equal terms, so each sub-multiset counts once, times its subsets.
+        # the new node, whose scale 24^0 is 1).  Subsets with the same
+        # multiset of exponents give equal terms, so each sub-multiset counts
+        # once, times its subsets; the bubble's degree must be its dimension
+        # |S|-1.
         zeros = (0,) * len(fixed)
         values, counts = _runs(assigned)
-        for taken in _sub_multisets(counts):
-            # the bubble's degree must be its dimension |S|-1
-            if sum(t * (x - 1) for x, t in zip(values, taken)) != -1:
-                continue
+        for taken in _sub_multisets(counts, values, -1):
             kept = _expand(values, (c - t for c, t in zip(counts, taken)))
-            value -= (_choose(counts, taken) * _integral(genus, kept + zeros)
-                      * _integral(0, _expand(values, taken) + (0, 0)))
+            value -= (_choose(counts, taken) * _scaled(genus, kept + zeros)
+                      * _scaled(0, _expand(values, taken) + (0, 0)))
     _FACTOR_CACHE[key] = value
     return value
 
 
 def _vertex_factor(genus: int, fixed: Exponents, assigned: Exponents) -> VertexFactor:
     space = ModuliIndex(genus, len(fixed) + len(assigned))
-    return VertexFactor(space, assigned + fixed, _factor_value(genus, fixed, canonical(assigned)))
+    value = Fraction(_factor_value(genus, fixed, canonical(assigned)), 24 ** genus)
+    return VertexFactor(space, assigned + fixed, value)
 
 
 @functools.cache
@@ -437,7 +450,7 @@ def stratum_terms(graph: DualGraph, exponents: Iterable[int] = ()) -> Iterator[S
 # that is ~5 s and ~300 MB.
 MAX_ORBIT_COST = 50_000_000
 
-_PULLBACK_CACHE: dict[tuple[DualGraph, Exponents], Fraction] = {}
+_PULLBACK_CACHE: dict[tuple[DualGraph, Exponents], Fraction] = {}  # the public values
 
 
 def clear_cache() -> None:
@@ -459,15 +472,17 @@ def _orbit_cost(marks: int, vertex_count: int, decorated: int, counts: tuple[int
     return marks * (vertex_count * subsets + max(vertex_count - 2 + decorated, 0) * pairs)
 
 
-def _orbit_sum(graph: DualGraph, k: Exponents) -> Fraction:
+def _orbit_sum(graph: DualGraph, k: Exponents) -> int:
     # Sum over orbits: the ways each distinct exponent value's multiplicity
     # splits over the vertices, weighted by the number of mark assignments
     # in the orbit.  Vertices are peeled one at a time; orbits that leave the
-    # same marks for the remaining vertices share that remainder's sum.
+    # same marks for the remaining vertices share that remainder's sum.  Each
+    # vertex factor is an int scaled by 24^genus, so the sum is the int
+    # 24^G * value, G the sum of the vertex genera.
     vertices = [(g, graph.fixed_exponents(v)) for v, g in enumerate(graph.genera)]
     # The vertex conditions add up to sum(k) = 3 + n + legs - edges - decorations.
     if sum(k) - len(k) != sum(_excess(g, fixed) for g, fixed in vertices):
-        return Fraction(0)
+        return 0
     values, counts = _runs(k)
     decorated = sum(1 for _, fixed in vertices if sum(fixed)) if k else 0
     cost = _orbit_cost(len(k), len(vertices), decorated, counts)
@@ -476,21 +491,20 @@ def _orbit_sum(graph: DualGraph, k: Exponents) -> Fraction:
             f"pullback over {len(vertices)} vertices with {len(k)} marks is too "
             f"costly: estimated cost {cost} exceeds the limit {MAX_ORBIT_COST}"
         )
-    states = {counts: Fraction(1)}  # marks left -> weighted sum so far
+    states = {counts: 1}  # marks left -> weighted sum so far
     for v, (genus, fixed) in enumerate(vertices):
         need = _excess(genus, fixed)
+        # The last vertex takes every mark left, whose degree then matches.
         last = v == len(vertices) - 1
-        reached: dict[tuple[int, ...], Fraction] = {}
+        reached: dict[tuple[int, ...], int] = {}
         for left, total in states.items():
-            for taken in [left] if last else _sub_multisets(left):
-                if sum(t * (x - 1) for x, t in zip(values, taken)) != need:
-                    continue
+            for taken in [left] if last else _sub_multisets(left, values, need):
                 factor = _factor_value(genus, fixed, _expand(values, taken))
                 if factor:
                     rest = tuple(l - t for l, t in zip(left, taken))
                     reached[rest] = reached.get(rest, 0) + total * _choose(left, taken) * factor
         states = reached
-    return states.get((0,) * len(counts), Fraction(0))
+    return states.get((0,) * len(counts), 0)
 
 
 def _recursive(graph: DualGraph, exponents: Iterable[int]) -> Fraction:
@@ -498,11 +512,12 @@ def _recursive(graph: DualGraph, exponents: Iterable[int]) -> Fraction:
     # the string law P(k+(0,)) = sum_j P(k-e_j) and the dilaton law
     # P(k+(1,)) = (2+L+n) P(k), down to the stratum sum once every exponent
     # is >= 2, where the degree bound leaves at most 3+L-|E|-decorations marks.
-    def base(k: Exponents) -> Fraction | None:
+    # The memo holds the ints 24^G * value, as _orbit_sum returns them.
+    def base(k: Exponents) -> int | None:
         return _orbit_sum(graph, k) if not k or k[-1] > 1 else None
 
-    return Fraction(_string_dilaton(_GRAPH_MEMO, graph, 2 + len(graph.legs), base,
-                                    canonical(exponents)))
+    scaled = _string_dilaton(_GRAPH_MEMO, graph, 2 + len(graph.legs), base, canonical(exponents))
+    return Fraction(scaled, 24 ** sum(graph.genera))
 
 
 def pullback_integral(graph: DualGraph, exponents: Iterable[int] = ()) -> Fraction:
@@ -522,7 +537,8 @@ def pullback_integral(graph: DualGraph, exponents: Iterable[int] = ()) -> Fracti
     cached = _PULLBACK_CACHE.get(key)
     if cached is None:
         _require_evaluable(graph, k)
-        cached = _PULLBACK_CACHE[key] = _orbit_sum(graph, key[1])
+        cached = _PULLBACK_CACHE[key] = Fraction(_orbit_sum(graph, key[1]),
+                                                 24 ** sum(graph.genera))
     return cached
 
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -51,6 +52,17 @@ class TestPsiCommand:
         code, out, _ = run(capsys, "psi", "--genus", "1", "--k", ",".join(["1"] * 1200))
         assert code == 0
         assert out == format_rational(Fraction(factorial(1199), 24)) + "\n"
+
+    def test_costly_psi_is_domain_error_at_once(self, capsys):
+        # The staircase (18, ..., 1, 0^156) would fill a memo of Catalan(19)
+        # ~ 1.8e9 entries; the cost guard refuses it before any work.
+        k = ",".join(map(str, list(range(18, 0, -1)) + [0] * 156))
+        started = time.monotonic()
+        code, out, err = run(capsys, "psi", "--genus", "0", "--k", k)
+        assert time.monotonic() - started < 1
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "too costly" in err
+        assert "Traceback" not in err
 
     def test_values_beyond_int_str_digit_limit(self, capsys):
         # 1599!/24 has 4430 digits; text and JSON both print all of them.

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -257,3 +258,54 @@ class TestGenus0ClosedForm:
     def test_too_few_points_raises(self):
         with pytest.raises(ValueError):
             genus0_closed_form((1, 0))
+
+
+def staircase(m, genus=0):
+    """(m, m-1, ..., 1) padded with zeros to its degree-matched length: its
+    memo holds every partition fitting in the staircase, Catalan(m+1) of them."""
+    degree = m * (m + 1) // 2
+    return tuple(range(m, 0, -1)) + (0,) * (degree - 3 * genus + 3 - m)
+
+
+class TestCostGuard:
+    @pytest.mark.parametrize("m", range(1, 12))
+    def test_cost_model_counts_the_staircase_memo(self, m):
+        k = staircase(m)
+        assert psi._fitting_partitions(k, 10 ** 9) == math.comb(2 * m + 2, m + 1) // (m + 2)
+        if m <= 8:
+            psi.clear_cache()
+            psi_integral(ModuliIndex(0, len(k)), k)
+            assert len(psi._CACHE) == psi._fitting_partitions(k, 10 ** 9)
+
+    def test_count_stops_past_the_limit(self):
+        assert 200 < psi._fitting_partitions(staircase(18), 200) < 10 ** 4
+
+    def test_staircase_9_matches_closed_form(self):
+        k = staircase(9)
+        assert len(k) > psi._FREE_MARKS  # the guard counts, and lets it through
+        psi.clear_cache()
+        assert psi_integral(ModuliIndex(0, len(k)), k) == genus0_closed_form(k)
+
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_staircase_18_refused_at_once(self, genus):
+        k = staircase(18, genus)
+        psi.clear_cache()
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="too costly"):
+            psi_integral(ModuliIndex(genus, len(k)), k)
+        assert time.monotonic() - started < 1
+        assert not psi._CACHE
+
+    def test_wrong_degree_is_zero_not_refused(self):
+        k = staircase(18) + (0,)
+        assert psi_integral(ModuliIndex(0, len(k)), k) == 0
+
+    def test_small_degrees_skip_the_count(self, monkeypatch):
+        def no_count(*args):
+            raise AssertionError("memo size counted")
+
+        monkeypatch.setattr(psi, "_fitting_partitions", no_count)
+        rng = random.Random(7)
+        for genus, n in [(0, 30), (1, 30), (1, 39)]:
+            k = random_monomial(rng, genus, n)
+            assert psi_integral(ModuliIndex(genus, n), k) != 0

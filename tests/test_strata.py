@@ -2,16 +2,18 @@
 
 import itertools
 import os
+import re
 import pickle
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tautint import psi, strata
-from tautint.arith import partitions
+from tautint.arith import canonical, partitions
+from tautint.identities import pullback_delta_closed, pullback_delta_recursive
 from tautint.psi import ModuliIndex, UnsupportedGenusError, psi_integral
 from tautint.strata import (
     DualGraph,
@@ -84,6 +86,33 @@ class TestValidation:
         other = DualGraph(genera=(1, 0), edges=(((1, 0), (1, 0)), ((1, 0), (0, 0))))
         assert one == other
         assert hash(one) == hash(other)
+
+
+class TestGraphCoercion:
+    """Graph data is taken through operator.index: ints and bools at their
+    value, never a float, str or Fraction that int() would truncate or parse."""
+
+    @pytest.mark.parametrize("bad", [1.7, 0.9, 1.0, "1", Fraction(1)])
+    @pytest.mark.parametrize("build", [
+        lambda bad: DualGraph(genera=(bad, 0), edges=((0, 1), (1, 1))),
+        lambda bad: DualGraph(genera=(1, 0), edges=((0, bad), (1, 1))),
+        lambda bad: DualGraph(genera=(1, 0), edges=(((0, bad), 1), (1, 1))),
+        lambda bad: DualGraph(genera=(1, 0), edges=((0, 1), (1, 1)), legs=(("x", bad),)),
+        lambda bad: DualGraph(genera=(1, 0), edges=((0, 1), (1, 1)), legs=(("x", 1, bad),)),
+    ], ids=["genus", "edge-vertex", "edge-psi", "leg-vertex", "leg-psi"])
+    def test_non_integral_data_rejected_not_truncated(self, build, bad):
+        with pytest.raises(ValueError, match=f"must be integers, got {re.escape(repr(bad))}"):
+            build(bad)
+
+    def test_bools_count_as_their_value(self):
+        graph = DualGraph(genera=(True, False), edges=((False, True), ((True, False), True)),
+                          legs=(("x", True, False),))
+        plain = DualGraph(genera=(1, 0), edges=((0, 1), (1, 1)), legs=(("x", 1),))
+        assert graph == plain and hash(graph) == hash(plain)
+        assert format_graph(graph) == format_graph(plain)
+        assert all(type(v) is int for v in graph.genera)
+        assert all(type(v) is int for edge in graph.edges for end in edge for v in end)
+        assert all(type(v) is int for leg in graph.legs for v in leg[1:])
 
 
 class TestPullbackIntegral:
@@ -376,6 +405,123 @@ def degree_matched(graph, n, top):
     decorations = sum(sum(graph.fixed_exponents(v)) for v in range(graph.vertex_count))
     degree = 3 + n + len(graph.legs) - len(graph.edges) - decorations
     return [k for k in itertools.combinations_with_replacement(range(top + 1), n) if sum(k) == degree]
+
+
+@st.composite
+def genus2_graphs(draw):
+    """Valid genus-2 dual graphs: up to three vertices of genus <= 1, a
+    spanning tree plus 2 - sum(genera) more edges (loops allowed), the legs a
+    vertex needs to be stable plus up to one more, and at most one unit
+    decoration per vertex."""
+    count = draw(st.integers(1, 3))
+    genera = draw(st.lists(st.integers(0, 1), min_size=count, max_size=count)
+                  .filter(lambda genera: sum(genera) <= 2))
+    vertex = st.integers(0, count - 1)
+    edges = [[draw(st.integers(0, v - 1)), v] for v in range(1, count)]
+    edges += [[draw(vertex), draw(vertex)] for _ in range(2 - sum(genera))]
+    legs = []
+    for v, genus in enumerate(genera):
+        valence = sum(end == v for edge in edges for end in edge)
+        for _ in range(max(0, 3 - 2 * genus - valence) + draw(st.integers(0, 1))):
+            legs.append([f"x{len(legs)}", v])
+    # half-edges as (edge, end) or (leg,); decorate at most one per vertex
+    psi_edges = [[0, 0] for _ in edges]
+    psi_legs = [0] * len(legs)
+    for v in range(count):
+        slots = [(i, j) for i, edge in enumerate(edges) for j in (0, 1) if edge[j] == v]
+        slots += [(i,) for i, leg in enumerate(legs) if leg[1] == v]
+        slot = draw(st.none() | st.sampled_from(slots))
+        if slot is None:
+            continue
+        if len(slot) == 2:
+            psi_edges[slot[0]][slot[1]] = 1
+        else:
+            psi_legs[slot[0]] = 1
+    return DualGraph(
+        tuple(genera),
+        tuple(((a, pa), (b, pb)) for (a, b), (pa, pb) in zip(edges, psi_edges)),
+        tuple((label, v, p) for (label, v), p in zip(legs, psi_legs)),
+    )
+
+
+@st.composite
+def graphs_with_marks(draw, max_marks=5):
+    """A genus-2 graph and up to ``max_marks`` exponents, mostly of the
+    degree its pullback needs, in any order."""
+    graph = draw(genus2_graphs())
+    n = draw(st.integers(0, max_marks))
+    matched = degree_matched(graph, n, 4)
+    if matched and draw(st.booleans()):
+        k = draw(st.sampled_from(matched))
+    else:
+        k = tuple(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    return graph, tuple(draw(st.permutations(k)))
+
+
+class TestGeneratedGraphs:
+    @given(genus2_graphs())
+    def test_generated_graphs_are_evaluable(self, graph):
+        assert validate_graph(graph).ok
+        assert total_genus(graph) == 2
+        assert all(sum(graph.fixed_exponents(v)) <= 1 for v in range(graph.vertex_count))
+
+    @given(genus2_graphs())
+    def test_text_round_trip(self, graph):
+        assert parse_graph(format_graph(graph)) == graph
+
+    @settings(deadline=None)
+    @given(graphs_with_marks())
+    def test_orbit_sum_equals_enumeration_and_recursion(self, case):
+        graph, k = case
+        strata.clear_cache()
+        value = pullback_integral(graph, k)
+        assert value == sum((term.value for term in stratum_terms(graph, k)), Fraction(0))
+        assert value == strata._recursive(graph, k)
+
+
+class TestIntegerMemos:
+    """The strata layer keeps ints scaled by 24^genus; the edges divide."""
+
+    def test_memos_hold_ints_and_public_values_are_fractions(self):
+        psi.clear_cache()
+        strata.clear_cache()
+        for n in range(1, 6):
+            for k in degree_matched(LEGGED_DECO, n, 3):
+                value = pullback_integral(LEGGED_DECO, k)
+                assert type(value) is Fraction
+                assert value == sum((term.value for term in stratum_terms(LEGGED_DECO, k)), Fraction(0))
+        for n in range(1, 9):
+            for k in partitions(n + 1, n):
+                value = pullback_delta_recursive(n, k)
+                assert type(value) is Fraction
+                assert value == pullback_delta_closed(n, k)
+                # delta's vertex genera add up to 1
+                assert psi._GRAPH_MEMO[delta_graph(), canonical(k)] == 24 * value
+        assert strata._FACTOR_CACHE and psi._GRAPH_MEMO
+        assert all(type(value) is int for value in strata._FACTOR_CACHE.values())
+        assert all(type(value) is int for value in psi._GRAPH_MEMO.values())
+        assert all(type(value) is Fraction for value in strata._PULLBACK_CACHE.values())
+        assert type(psi_integral(ModuliIndex(1, 2), (1, 1))) is Fraction
+
+    def test_each_factor_is_24_to_the_genus_times_its_value(self):
+        strata.clear_cache()
+        for n in range(1, 6):
+            for k in degree_matched(LEGGED_DECO, n, 3):
+                pullback_integral(LEGGED_DECO, k)
+        pullback_delta_recursive(1, (2,))
+        decorated = 0
+        for (genus, fixed, assigned), scaled in strata._FACTOR_CACHE.items():
+            factor = strata._vertex_factor(genus, fixed, assigned)
+            assert type(factor.value) is Fraction
+            assert scaled == 24 ** genus * factor.value
+            # and the value itself, by an evaluation that never scales
+            if sum(fixed):
+                decorated += 1
+                assert factor.value == subset_expansion(genus, fixed, assigned)
+            else:
+                exponents = assigned + fixed
+                assert factor.value == psi_integral(ModuliIndex(genus, len(exponents)), exponents)
+        assert decorated
 
 
 class TestGraphEngine:
