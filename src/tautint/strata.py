@@ -20,12 +20,11 @@ sum whose estimated cost exceeds ``MAX_ORBIT_COST`` is refused up front.
 A psi decoration on a half-edge means the psi class at that point on the
 vertex's own moduli space.  Under the forgetful pullback that class acquires
 boundary corrections (psi = pulled-back psi + the divisor where the point
-bubbles off with new marks), so a unit decoration is expanded here as the
-plain-exponent term minus a sum over the nonempty subsets of marks that can
-join the decorated point on a rational bubble, again grouped by exponent
-multiset.  Decorations of total degree
->= 2 on one vertex would need products of boundary divisors and are rejected
-whenever marks are being distributed.
+bubbles off with new marks), so a unit decoration is expanded as the
+plain-exponent term minus the same orbit peel over a genus-0 bubble, holding
+the point, the node and a nonempty part of the marks, and the undecorated
+vertex.  Decorations of total degree >= 2 on one vertex would need products of
+boundary divisors and are rejected whenever marks are being distributed.
 
 Public evaluators check a graph once (until :func:`clear_cache`) and the
 exponents on each call; per-vertex integrals then call the psi engine's
@@ -39,17 +38,19 @@ caller for the memo of ints it fills, and per vertex for
 Graph data (genera, vertices and psi of edge ends and legs) is taken at its
 integer value; a float, str or Fraction raises ValueError, never truncated.
 
-Graph literal format (also accepted by the CLI as ``file:<path>``)::
+Graph literal format (also accepted by the CLI as ``file:<path>``).  With a
+'#' comment stripped and whitespace collapsed, a nonblank line must match one
+of three shapes, the whole grammar (numbers are decimal; the genus may be
+negative, for validation to report)::
 
-    # '#' starts a comment; blank lines are ignored
-    v0 genus=1                    vertex declarations, in order v0, v1, ...
-    e v0.h0 v1.h0                 edge between two half-edges
-    e v1.h1 v1.h2 psi=1           self-loop; psi=<p>[,<q>] decorates the
-                                  first (and optionally second) listed end
-    leg x v0 psi=2                labeled marked point, optional decoration
+    v<i> genus=<g>                         vertex, declared in order v0, v1, ...
+    e v<i>.h<a> v<j>.h<b> [psi=<p>[,<q>]]  edge; psi decorates the first end
+                                           (and the second)
+    leg <label> v<i> [psi=<p>]             labeled marked point
 
-Half-edge names ``v<i>.h<a>`` must not repeat across edge ends; leg labels
-must be unique.
+A line of another shape raises GraphParseError ``line N: expected '<shape>',
+got '<line>'``; an undeclared vertex, a half-edge used twice or a repeated leg
+label raises it as ``line N:`` and the broken rule.
 """
 
 from __future__ import annotations
@@ -111,10 +112,18 @@ class Leg(NamedTuple):
     psi: int = 0
 
 
+def _shaped(entry, lengths: tuple[int, ...], shape: str) -> tuple:
+    # An edge, edge end or leg: a tuple or list of one of the allowed lengths.
+    if isinstance(entry, (tuple, list)) and len(entry) in lengths:
+        return tuple(entry)
+    raise ValueError(f"{shape}, got {entry!r}")
+
+
 def _as_end(end) -> EdgeEnd:
     # A bare vertex, or (vertex,) or (vertex, psi); every entry must be an int.
     if not isinstance(end, (tuple, list)):
         end = (end,)
+    end = _shaped(end, (1, 2), "an edge end is a vertex, (vertex,) or (vertex, psi)")
     return EdgeEnd(*_as_ints(end, "edge-end vertices and psi"))
 
 
@@ -139,12 +148,14 @@ class DualGraph:
         object.__setattr__(self, "genera", _as_ints(self.genera, "vertex genera"))
         edges = []
         for raw in self.edges:
-            a, b = raw
+            a, b = _shaped(raw, (2,), "an edge is a pair of edge ends")
             end_a, end_b = _as_end(a), _as_end(b)
             edges.append(Edge(end_a, end_b) if end_a <= end_b else Edge(end_b, end_a))
         object.__setattr__(self, "edges", tuple(sorted(edges)))
+        shaped = (_shaped(leg, (2, 3), "a leg is (label, vertex) or (label, vertex, psi)")
+                  for leg in self.legs)
         legs = tuple(sorted(Leg(str(label), *_as_ints(rest, f"leg {label!r} vertex and psi"))
-                            for label, *rest in self.legs))
+                            for label, *rest in shaped))
         object.__setattr__(self, "legs", legs)
         object.__setattr__(self, "_hash", hash((self.genera, self.edges, self.legs)))
 
@@ -327,7 +338,7 @@ class StratumTerm(NamedTuple):
 def _excess(genus: int, fixed: Exponents) -> int:
     # The sum of (k - 1) over a vertex's marks for which its factor can be
     # nonzero: its dimension 3g-3+|fixed|+|marks|, less its decoration degree,
-    # less one per mark.  The corrections of a unit decoration need the same.
+    # less one per mark.
     return 3 * genus - 3 + len(fixed) - sum(fixed)
 
 
@@ -358,42 +369,31 @@ _FACTOR_CACHE: dict[tuple[int, Exponents, Exponents], int] = {}
 
 def _factor_value(genus: int, fixed: Exponents, assigned: Exponents) -> int:
     """One vertex's factor, as the int 24^genus * value, for a descending
-    multiset of assigned exponents.
+    multiset of assigned exponents whose degree matches the vertex.
 
     For a decorated vertex the value includes the boundary corrections of the
     pulled-back decoration.  Memoized on (genus, fixed, assigned).
     """
-    if sum(assigned) - len(assigned) != _excess(genus, fixed):
-        return 0
     key = (genus, fixed, assigned)
     value = _FACTOR_CACHE.get(key)
-    if value is not None:
-        return value
-    value = _scaled(genus, assigned + fixed)
-    if sum(fixed) and assigned:
-        # Single unit decoration at one fixed point h.  The honest psi class
-        # at h equals the pulled-back one plus the boundary divisors where h
-        # bubbles off with a nonempty subset S of the vertex's marks, so
-        # subtract, for each S, (vertex integral with h's decoration dropped
-        # and S removed) times (genus-0 bubble integral over S's marks, h and
-        # the new node, whose scale 24^0 is 1).  Subsets with the same
-        # multiset of exponents give equal terms, so each sub-multiset counts
-        # once, times its subsets; the bubble's degree must be its dimension
-        # |S|-1.
-        zeros = (0,) * len(fixed)
-        values, counts = _runs(assigned)
-        for taken in _sub_multisets(counts, values, -1):
-            kept = _expand(values, (c - t for c, t in zip(counts, taken)))
-            value -= (_choose(counts, taken) * _scaled(genus, kept + zeros)
-                      * _scaled(0, _expand(values, taken) + (0, 0)))
-    _FACTOR_CACHE[key] = value
+    if value is None:
+        value = _scaled(genus, assigned + fixed)
+        if sum(fixed) and assigned:
+            # Single unit decoration at one fixed point h.  The honest psi
+            # class at h is the pulled-back one plus the boundary divisors
+            # where h bubbles off with a nonempty subset of the marks, so
+            # subtract the peel over a genus-0 bubble holding that subset, h
+            # and the node, then the vertex with h's decoration dropped.
+            value -= _peel([(0, (0, 0)), (genus, (0,) * len(fixed))], *_runs(assigned))
+        _FACTOR_CACHE[key] = value
     return value
 
 
 def _vertex_factor(genus: int, fixed: Exponents, assigned: Exponents) -> VertexFactor:
     space = ModuliIndex(genus, len(fixed) + len(assigned))
-    value = Fraction(_factor_value(genus, fixed, canonical(assigned)), 24 ** genus)
-    return VertexFactor(space, assigned + fixed, value)
+    matched = sum(assigned) - len(assigned) == _excess(genus, fixed)
+    value = _factor_value(genus, fixed, canonical(assigned)) if matched else 0
+    return VertexFactor(space, assigned + fixed, Fraction(value, 24 ** genus))
 
 
 @functools.cache
@@ -465,20 +465,38 @@ def _orbit_cost(marks: int, vertex_count: int, decorated: int, counts: tuple[int
     # Upper bound on the tuple entries _orbit_sum builds and hashes: each step
     # handles a multiset of up to ``marks`` exponents.  The first and last
     # vertex take at most one step per sub-multiset of k, as does the
-    # correction loop of a lone vertex; a middle vertex, or the correction
-    # loop of a decorated vertex among others, one per nested pair of them.
+    # correction peel of a lone vertex; a middle vertex, or the correction
+    # peel of a decorated vertex among others, one per nested pair of them.
     subsets = math.prod(count + 1 for count in counts)
     pairs = math.prod(math.comb(count + 2, 2) for count in counts)
     return marks * (vertex_count * subsets + max(vertex_count - 2 + decorated, 0) * pairs)
 
 
+def _peel(vertices: list[tuple[int, Exponents]], values: Exponents, counts: tuple[int, ...]) -> int:
+    # Sum over the ways each distinct exponent value's multiplicity splits
+    # over the (genus, fixed) vertices, weighted by the mark assignments in
+    # the split, of the product of vertex factors: the int 24^G * value, G the
+    # sum of the genera.  Vertices are peeled one at a time, and splits that
+    # leave the same marks share that remainder's sum.  The caller matches
+    # the total degree, so the last vertex takes every mark left.
+    states = {counts: 1}  # marks left -> weighted sum so far
+    for genus, fixed in vertices[:-1]:
+        need = _excess(genus, fixed)
+        reached: dict[tuple[int, ...], int] = {}
+        for left, total in states.items():
+            for taken in _sub_multisets(left, values, need):
+                factor = _factor_value(genus, fixed, _expand(values, taken))
+                if factor:
+                    rest = tuple(map(operator.sub, left, taken))
+                    reached[rest] = reached.get(rest, 0) + total * _choose(left, taken) * factor
+        states = reached
+    genus, fixed = vertices[-1]
+    return sum(total * _factor_value(genus, fixed, _expand(values, left))
+               for left, total in states.items())
+
+
 def _orbit_sum(graph: DualGraph, k: Exponents) -> int:
-    # Sum over orbits: the ways each distinct exponent value's multiplicity
-    # splits over the vertices, weighted by the number of mark assignments
-    # in the orbit.  Vertices are peeled one at a time; orbits that leave the
-    # same marks for the remaining vertices share that remainder's sum.  Each
-    # vertex factor is an int scaled by 24^genus, so the sum is the int
-    # 24^G * value, G the sum of the vertex genera.
+    # The stratum sum over orbits of mark assignments, as the int 24^G * value.
     vertices = [(g, graph.fixed_exponents(v)) for v, g in enumerate(graph.genera)]
     # The vertex conditions add up to sum(k) = 3 + n + legs - edges - decorations.
     if sum(k) - len(k) != sum(_excess(g, fixed) for g, fixed in vertices):
@@ -491,20 +509,7 @@ def _orbit_sum(graph: DualGraph, k: Exponents) -> int:
             f"pullback over {len(vertices)} vertices with {len(k)} marks is too "
             f"costly: estimated cost {cost} exceeds the limit {MAX_ORBIT_COST}"
         )
-    states = {counts: 1}  # marks left -> weighted sum so far
-    for v, (genus, fixed) in enumerate(vertices):
-        need = _excess(genus, fixed)
-        # The last vertex takes every mark left, whose degree then matches.
-        last = v == len(vertices) - 1
-        reached: dict[tuple[int, ...], int] = {}
-        for left, total in states.items():
-            for taken in [left] if last else _sub_multisets(left, values, need):
-                factor = _factor_value(genus, fixed, _expand(values, taken))
-                if factor:
-                    rest = tuple(l - t for l, t in zip(left, taken))
-                    reached[rest] = reached.get(rest, 0) + total * _choose(left, taken) * factor
-        states = reached
-    return states.get((0,) * len(counts), 0)
+    return _peel(vertices, values, counts)
 
 
 def _recursive(graph: DualGraph, exponents: Iterable[int]) -> Fraction:
@@ -575,8 +580,14 @@ def expression_integral(expression: StrataExpression, exponents: Iterable[int] =
 
 # --- graph literal format ---------------------------------------------------
 
-_VERTEX_RE = re.compile(r"^v(\d+)$")
-_HALF_EDGE_RE = re.compile(r"^v(\d+)\.h(\d+)$")
+# The whole grammar: each line kind's shape and the regex that must match the
+# whole line, comment stripped and whitespace collapsed; 'v' is the default.
+_LINE_KINDS = {
+    "v": ("v<i> genus=<g>", r"v([0-9]+) genus=(-?[0-9]+)"),
+    "e": ("e v<i>.h<a> v<j>.h<b> [psi=<p>[,<q>]]",
+          r"e v([0-9]+)\.h([0-9]+) v([0-9]+)\.h([0-9]+)(?: psi=([0-9]+)(?:,([0-9]+))?)?"),
+    "leg": ("leg <label> v<i> [psi=<p>]", r"leg (\S+) v([0-9]+)(?: psi=([0-9]+))?"),
+}
 
 
 def parse_graph(text: str) -> DualGraph:
@@ -584,85 +595,38 @@ def parse_graph(text: str) -> DualGraph:
     genera: list[int] = []
     edges: list[tuple[tuple[int, int], tuple[int, int]]] = []
     legs: list[tuple[str, int, int]] = []
-    used_half_edges: set[tuple[int, int]] = set()
-    leg_labels: set[str] = set()
-
-    def fail(lineno: int, message: str) -> GraphParseError:
-        return GraphParseError(f"line {lineno}: {message}")
-
+    seen: set[str] = set()  # half-edges and leg labels
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = " ".join(raw.split("#", 1)[0].split())
         if not line:
             continue
-        tokens = line.split()
-        head = tokens[0]
-
-        if _VERTEX_RE.match(head):
-            index = int(_VERTEX_RE.match(head).group(1))
-            if index != len(genera):
-                raise fail(lineno, f"expected vertex v{len(genera)}, got {head}")
-            if len(tokens) != 2 or not tokens[1].startswith("genus="):
-                raise fail(lineno, f"expected '{head} genus=<g>'")
-            try:
-                genus = int(tokens[1].removeprefix("genus="))
-            except ValueError:
-                raise fail(lineno, f"bad genus in {tokens[1]!r}")
-            genera.append(genus)
-
-        elif head == "e":
-            if len(tokens) not in (3, 4):
-                raise fail(lineno, "expected 'e v<i>.h<a> v<j>.h<b> [psi=<p>[,<q>]]'")
-            ends = []
-            for tok in tokens[1:3]:
-                match = _HALF_EDGE_RE.match(tok)
-                if not match:
-                    raise fail(lineno, f"bad half-edge {tok!r}, expected v<i>.h<a>")
-                vertex, slot = int(match.group(1)), int(match.group(2))
+        kind = line.split(" ", 1)[0]
+        shape, pattern = _LINE_KINDS.get(kind, _LINE_KINDS["v"])
+        match = re.fullmatch(pattern, line)
+        try:
+            if not match:
+                raise ValueError(f"expected '{shape}', got '{line}'")
+            numbers = [int(group or 0) for group in match.groups()[kind == "leg":]]  # not the label
+            if kind == "e":
+                va, a, vb, b, psi_a, psi_b = numbers
+                uses = [(va, f"half-edge v{va}.h{a}"), (vb, f"half-edge v{vb}.h{b}")]
+                edges.append(((va, psi_a), (vb, psi_b)))
+            elif kind == "leg":
+                uses = [(numbers[0], f"leg label {match[1]!r}")]
+                legs.append((match[1], *numbers))
+            elif numbers[0] != len(genera):
+                raise ValueError(f"expected vertex v{len(genera)}, got v{numbers[0]}")
+            else:
+                uses = []
+                genera.append(numbers[1])
+            for vertex, name in uses:
                 if vertex >= len(genera):
-                    raise fail(lineno, f"half-edge {tok!r} references undeclared vertex")
-                if (vertex, slot) in used_half_edges:
-                    raise fail(lineno, f"half-edge {tok!r} used twice")
-                used_half_edges.add((vertex, slot))
-                ends.append(vertex)
-            psi_a = psi_b = 0
-            if len(tokens) == 4:
-                if not tokens[3].startswith("psi="):
-                    raise fail(lineno, f"unexpected token {tokens[3]!r}")
-                parts = tokens[3].removeprefix("psi=").split(",")
-                try:
-                    psi_a = int(parts[0])
-                    psi_b = int(parts[1]) if len(parts) > 1 else 0
-                except (ValueError, IndexError):
-                    raise fail(lineno, f"bad decoration {tokens[3]!r}")
-                if len(parts) > 2 or psi_a < 0 or psi_b < 0:
-                    raise fail(lineno, f"bad decoration {tokens[3]!r}")
-            edges.append(((ends[0], psi_a), (ends[1], psi_b)))
-
-        elif head == "leg":
-            if len(tokens) not in (3, 4):
-                raise fail(lineno, "expected 'leg <label> v<i> [psi=<p>]'")
-            label = tokens[1]
-            if label in leg_labels:
-                raise fail(lineno, f"leg label {label!r} repeats")
-            leg_labels.add(label)
-            match = _VERTEX_RE.match(tokens[2])
-            if not match or int(match.group(1)) >= len(genera):
-                raise fail(lineno, f"bad vertex reference {tokens[2]!r}")
-            psi = 0
-            if len(tokens) == 4:
-                if not tokens[3].startswith("psi="):
-                    raise fail(lineno, f"unexpected token {tokens[3]!r}")
-                try:
-                    psi = int(tokens[3].removeprefix("psi="))
-                except ValueError:
-                    raise fail(lineno, f"bad decoration {tokens[3]!r}")
-                if psi < 0:
-                    raise fail(lineno, f"bad decoration {tokens[3]!r}")
-            legs.append((label, int(match.group(1)), psi))
-
-        else:
-            raise fail(lineno, f"unrecognized line {line!r}")
-
+                    raise ValueError(f"v{vertex} is not declared")
+                if name in seen:
+                    raise ValueError(f"{name} repeats")
+                seen.add(name)
+        except ValueError as exc:  # int() raises one past its digit limit, too
+            raise GraphParseError(f"line {lineno}: {exc}") from None
     if not genera:
         raise GraphParseError("no vertices declared")
     return DualGraph(genera=tuple(genera), edges=tuple(edges), legs=tuple(legs))

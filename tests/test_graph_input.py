@@ -1,0 +1,116 @@
+"""Robustness of graph input: the three-line graph literal grammar and the
+shapes of DualGraph's edge, edge-end and leg entries."""
+
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tautint.cli import main
+from tautint.strata import DualGraph, GraphParseError, format_graph, parse_graph, validate_graph
+
+LONG = "1" * 5000  # more digits than int() converts from a str
+
+EDGE_SHAPE = "e v<i>.h<a> v<j>.h<b> [psi=<p>[,<q>]]"
+
+
+class TestDualGraphShapes:
+    @pytest.mark.parametrize("entry, build", [
+        (("x",), lambda: DualGraph(genera=(1, 0), edges=((0, 1), (1, 1)), legs=(("x",),))),
+        ((0, 1, 2), lambda: DualGraph(genera=(1, 0), edges=(((0, 1, 2), 1), (1, 1)))),
+        ((0, 1, 1), lambda: DualGraph(genera=(1, 0), edges=((0, 1, 1), (1, 1)))),
+    ], ids=["leg", "edge-end", "edge"])
+    def test_malformed_entry_is_a_value_error_naming_it(self, entry, build):
+        with pytest.raises(ValueError, match=re.escape(repr(entry))) as raised:
+            build()
+        assert not isinstance(raised.value, TypeError)
+
+
+class TestLongNumbers:
+    @pytest.mark.parametrize("text", [
+        f"v{LONG} genus=0\n",
+        f"leg a v{LONG}\n",
+        f"e v0.h{LONG} v0.h1\n",
+    ], ids=["vertex", "leg-vertex", "half-edge-slot"])
+    def test_parse_error_names_the_line(self, text):
+        with pytest.raises(GraphParseError, match="^line 1: "):
+            parse_graph(text)
+
+    def test_cli_reports_cannot_load(self, capsys, tmp_path):
+        path = tmp_path / "long.graph"
+        path.write_text(f"v0 genus=1\nleg a v{LONG}\n", encoding="utf-8")
+        code = main(["pullback", "--graph", f"file:{path}", "--k", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("cannot load graph: line 2: ")
+
+
+class TestLineGrammar:
+    @pytest.mark.parametrize("text, message", [
+        ("v0 genus=1\ne v0.h0 v0.h1 psi=1,2,3\n",
+         f"line 2: expected '{EDGE_SHAPE}', got 'e v0.h0 v0.h1 psi=1,2,3'"),
+        ("v0 genus=1\ne v0.h0 v0.h1 psi=1,\n",
+         f"line 2: expected '{EDGE_SHAPE}', got 'e v0.h0 v0.h1 psi=1,'"),
+        ("v0 genus=1\ne v0.h0 v0.h1 psi=1 x\n",
+         f"line 2: expected '{EDGE_SHAPE}', got 'e v0.h0 v0.h1 psi=1 x'"),
+        ("v0 genus=1\nleg a v0 psi=1 x\n",
+         "line 2: expected 'leg <label> v<i> [psi=<p>]', got 'leg a v0 psi=1 x'"),
+        ("v0 genus=1\nleg a v0 psi=x\n",
+         "line 2: expected 'leg <label> v<i> [psi=<p>]', got 'leg a v0 psi=x'"),
+        ("v0 genus=1 extra\n", "line 1: expected 'v<i> genus=<g>', got 'v0 genus=1 extra'"),
+        ("# header\n\nwibble  # a comment\n", "line 3: expected 'v<i> genus=<g>', got 'wibble'"),
+    ], ids=["psi-three", "psi-trailing-comma", "edge-trailing-token", "leg-trailing-token",
+            "leg-psi-word", "vertex-trailing-token", "unknown-line"])
+    def test_ill_formed_line_names_its_shape(self, text, message):
+        with pytest.raises(GraphParseError, match=f"^{re.escape(message)}$"):
+            parse_graph(text)
+
+    @pytest.mark.parametrize("text", [
+        "v0 genus=+1\n",
+        "v0 genus=1_0\n",
+        "v0 genus=١\n",  # ARABIC-INDIC DIGIT ONE, which int() reads as 1
+        "v0 genus=1\ne v0.h0 v0.h1 psi=+1\n",
+        "v0 genus=1\nleg a v0 psi=1_0\n",
+    ], ids=["plus", "underscore", "non-ascii-digit", "edge-psi-plus", "leg-psi-underscore"])
+    def test_only_decimal_digits_are_numbers(self, text):
+        with pytest.raises(GraphParseError, match="^line [12]: expected '"):
+            parse_graph(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("v0 genus=1\nv2 genus=0\n", "line 2: expected vertex v1, got v2"),
+        ("v0 genus=1\ne v0.h0 v1.h0\n", "line 2: v1 is not declared"),
+        ("v0 genus=1\nleg a v1\n", "line 2: v1 is not declared"),
+        ("v0 genus=1\ne v0.h0 v0.h0\n", "line 2: half-edge v0.h0 repeats"),
+        ("v0 genus=1\nleg a v0\nleg a v0\n", "line 3: leg label 'a' repeats"),
+    ], ids=["vertex-order", "edge-vertex", "leg-vertex", "half-edge", "leg-label"])
+    def test_rules_beyond_the_grammar(self, text, message):
+        with pytest.raises(GraphParseError, match=f"^{re.escape(message)}$"):
+            parse_graph(text)
+
+    def test_tabs_and_runs_of_spaces_are_collapsed(self):
+        text = "v0\t genus=1 \n\tv1   genus=0\n e\tv0.h0  v1.h0\t\tpsi=1\ne v1.h1 v1.h2\nleg  x\tv1\n"
+        expected = DualGraph(genera=(1, 0), edges=(((0, 1), (1, 0)), (1, 1)), legs=(("x", 1),))
+        assert parse_graph(text) == expected
+
+    def test_negative_genus_reaches_validation(self):
+        report = validate_graph(parse_graph("v0 genus=-1\nleg a v0\nleg b v0\nleg c v0\n"))
+        assert [v.kind for v in report.violations] == ["negative-genus"]
+
+
+# Text over the format's own alphabet and keywords, with some whole lines so
+# that valid graphs are drawn too.
+TOKENS = ["v", "v0", "v1", "e", "leg", "genus=", "psi=", ".h", "h", "0", "1", "12", "-",
+          ",", "=", ".", "x", "#", " ", "  ", "\t", "\n",
+          "v0 genus=1\n", "v1 genus=0\n", "e v0.h0 v1.h0", "e v1.h1 v1.h2", "leg x v1",
+          " psi=1", ",2"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), max_size=40).map("".join))
+def test_literal_text_parses_or_raises_parse_error(text):
+    try:
+        graph = parse_graph(text)
+    except GraphParseError:
+        return
+    assert parse_graph(format_graph(graph)) == graph
