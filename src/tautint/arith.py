@@ -47,7 +47,7 @@ def as_exponents(values: Iterable[int]) -> Exponents:
     k = _as_ints(values)
     if not k:
         raise ValueError("exponent vector must have at least one entry")
-    if any(v < 0 for v in k):
+    if min(k) < 0:
         raise ValueError(f"exponents must be nonnegative, got {k}")
     return k
 

@@ -288,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidGraphError as exc:
         print(f"invalid graph:\n{exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (GraphParseError, OSError) as exc:
+    except (GraphParseError, OSError, UnicodeDecodeError) as exc:
         print(f"cannot load graph: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except ValueError as exc:

@@ -175,13 +175,15 @@ def _step(table: dict, key: object, euler: int, base: Callable, k: Exponents):
         return (euler - 1 + len(k)) * ((yield rest) if value is None else value)
     # String equation: forget a point with exponent 0 and redistribute one
     # unit of exponent among the remaining points.  Equal parts give equal
-    # terms, so each run counts once, decremented at its end to stay sorted.
-    total = 0
-    for end, part in enumerate(rest, 1):
-        if part and (end == len(rest) or rest[end] < part):
-            smaller = rest[:end - 1] + (part - 1,) + rest[end:]
-            value = table.get((key, smaller))
-            total += rest.count(part) * ((yield smaller) if value is None else value)
+    # terms, so the string step visits runs of nonzero parts only, one jump
+    # per run, decremented at its end to stay sorted; the zeros end the walk.
+    total = end = 0
+    size = len(rest)
+    while end < size and (part := rest[end]):
+        end += (count := rest.count(part))
+        smaller = rest[:end - 1] + (part - 1,) + rest[end:]
+        value = table.get((key, smaller))
+        total += count * ((yield smaller) if value is None else value)
     return total
 
 

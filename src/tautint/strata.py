@@ -127,13 +127,22 @@ def _as_end(end) -> EdgeEnd:
     return EdgeEnd(*_as_ints(end, "edge-end vertices and psi"))
 
 
+def _label(label) -> str:
+    # A leg label that format_graph can write and parse_graph read back.
+    label = str(label)
+    if not re.fullmatch(r"[^\s#]+", label):
+        raise ValueError(f"leg label {label!r} must be nonempty, without whitespace or '#'")
+    return label
+
+
 @dataclass(frozen=True)
 class DualGraph:
     """A decorated dual graph, normalized so equal graphs compare equal.
 
     ``edges`` entries may be given loosely as ``(v_a, v_b)`` or
     ``((v_a, psi_a), (v_b, psi_b))``; ``legs`` entries as ``(label, vertex)``
-    or ``(label, vertex, psi)``.  Edge ends and the edge/leg lists are sorted
+    or ``(label, vertex, psi)``, a label being nonempty text without
+    whitespace or '#'.  Edge ends and the edge/leg lists are sorted
     on construction, so two graphs built from the same data in any order are
     identical (this is structural identity, not graph isomorphism).
     """
@@ -154,7 +163,7 @@ class DualGraph:
         object.__setattr__(self, "edges", tuple(sorted(edges)))
         shaped = (_shaped(leg, (2, 3), "a leg is (label, vertex) or (label, vertex, psi)")
                   for leg in self.legs)
-        legs = tuple(sorted(Leg(str(label), *_as_ints(rest, f"leg {label!r} vertex and psi"))
+        legs = tuple(sorted(Leg(_label(label), *_as_ints(rest, f"leg {label!r} vertex and psi"))
                             for label, *rest in shaped))
         object.__setattr__(self, "legs", legs)
         object.__setattr__(self, "_hash", hash((self.genera, self.edges, self.legs)))
@@ -421,7 +430,7 @@ def _require_evaluable(graph: DualGraph, exponents: Iterable[int]) -> Exponents:
             f"vertex v{heavy} carries decorations of total degree >= 2; only a "
             "single unit decoration per vertex can be pulled back exactly"
         )
-    if any(v < 0 for v in k):
+    if k and min(k) < 0:
         raise ValueError(f"exponents must be nonnegative, got {k}")
     return k
 

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from tautint.arith import (
+    as_exponents,
     bernoulli,
     canonical,
     format_rational,
@@ -184,3 +186,28 @@ class TestCanonical:
     def test_sorts_descending(self):
         assert canonical((0, 2, 1)) == (2, 1, 0)
         assert canonical([1, 1]) == (1, 1)
+
+
+class TestAsExponents:
+    """The refusal messages of the public exponent check."""
+
+    @pytest.mark.parametrize("k", [(-1, 2, 0), (2, -1, 0), (2, 0, -1)],
+                             ids=["first", "middle", "last"])
+    def test_negative_entry_in_any_position(self, k):
+        with pytest.raises(ValueError, match=f"^exponents must be nonnegative, got {re.escape(repr(k))}$"):
+            as_exponents(k)
+
+    def test_float_entry(self):
+        with pytest.raises(ValueError, match="^exponents must be integers, got 1.5$"):
+            as_exponents((2, 1.5, 0))
+
+    def test_iterator_input(self):
+        assert as_exponents(iter([2, 0, 1])) == (2, 0, 1)
+        with pytest.raises(ValueError, match=r"^exponents must be nonnegative, got \(2, 0, -1\)$"):
+            as_exponents(iter([2, 0, -1]))
+        with pytest.raises(ValueError, match="^exponents must be integers, got 1.5$"):
+            as_exponents(x for x in (2, 1.5))
+
+    def test_empty_vector(self):
+        with pytest.raises(ValueError, match="^exponent vector must have at least one entry$"):
+            as_exponents(iter([]))

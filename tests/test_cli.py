@@ -162,6 +162,14 @@ class TestPullbackCommand:
         assert code == 1
         assert "cannot load graph" in err
 
+    def test_graph_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bad.graph"
+        path.write_bytes(bytes.fromhex("fffe007630"))
+        code, out, err = run(capsys, "pullback", "--graph", f"file:{path}", "--k", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("cannot load graph: 'utf-8' codec can't decode byte 0xff")
+
     def test_unknown_graph_name_usage_error(self, capsys):
         code, _, err = run(capsys, "pullback", "--graph", "banana", "--k", "2")
         assert code == 2

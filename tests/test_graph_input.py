@@ -26,6 +26,27 @@ class TestDualGraphShapes:
         assert not isinstance(raised.value, TypeError)
 
 
+class TestLegLabels:
+    """Every label a DualGraph holds is one format_graph writes and
+    parse_graph reads back."""
+
+    @pytest.mark.parametrize("label", ["a b", "x#y", "", "a\tb", "a\nb"],
+                             ids=["space", "hash", "empty", "tab", "newline"])
+    def test_label_that_cannot_round_trip_is_refused(self, label):
+        with pytest.raises(ValueError, match=f"^leg label {re.escape(repr(label))} "):
+            DualGraph(genera=(1, 0), edges=((0, 1), (1, 1)), legs=((label, 1),))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=6))
+    def test_accepted_labels_round_trip(self, label):
+        try:
+            graph = DualGraph(genera=(1, 0), edges=((0, 1), (1, 1)), legs=((label, 1),))
+        except ValueError:
+            assert not label or any(c.isspace() or c == "#" for c in label)
+            return
+        assert parse_graph(format_graph(graph)) == graph
+
+
 class TestLongNumbers:
     @pytest.mark.parametrize("text", [
         f"v{LONG} genus=0\n",

@@ -1,5 +1,9 @@
 """Tests for the package namespace built from each module's ``__all__``."""
 
+import ast
+import pathlib
+import sys
+
 import tautint
 
 # The names the package exported before it star-imported its modules.
@@ -38,3 +42,20 @@ def test_clear_cache_is_named_by_module():
     assert "clear_cache" not in tautint.__all__
     assert not hasattr(tautint, "clear_cache")
     assert callable(tautint.psi.clear_cache) and callable(tautint.strata.clear_cache)
+
+
+def test_runtime_imports_only_the_standard_library():
+    # The package must run with nothing installed beyond Python itself.
+    sources = sorted((pathlib.Path(__file__).parents[1] / "src" / "tautint").glob("*.py"))
+    assert len(sources) >= 6
+    for source in sources:
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["tautint" if node.level else node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "tautint" or top in sys.stdlib_module_names, (source.name, name)

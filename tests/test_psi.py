@@ -219,6 +219,35 @@ class TestIntegerEngine:
                 assert type(factor.value) is Fraction
 
 
+class TestStringRunWalk:
+    """The string step jumps run to run and stops at the zeros; every memo
+    entry it fills, intermediates included, must still be exact."""
+
+    @pytest.mark.parametrize("genus, n", [(0, 30), (1, 24)])
+    def test_every_cold_memo_entry_matches_the_closed_form(self, genus, n):
+        oracle = {0: genus0_closed_form, 1: genus1_closed_form}[genus]
+        k = random_monomial(random.Random(11), genus, n)
+        psi.clear_cache()
+        psi_integral(ModuliIndex(genus, n), k)
+        assert len(psi._CACHE) > n
+        for (g, key), value in psi._CACHE.items():
+            assert g == genus and value == 24 ** genus * oracle(key), key
+
+    def test_repeated_parts_fill_every_fitting_partition(self):
+        k = (3, 3, 2, 2, 2, 1, 1) + (0,) * 10
+        psi.clear_cache()
+        assert psi_integral(ModuliIndex(0, len(k)), k) == genus0_closed_form(k)
+        assert len(psi._CACHE) == psi._fitting_partitions(k, 10 ** 9) == 76
+
+    def test_walk_bounds(self):
+        # a rest with no zero is walked to its end; an empty rest sums to 0
+        psi.clear_cache()
+        assert psi_integral(ModuliIndex(1, 3), (2, 1, 0)) == Fraction(1, 12)
+        assert psi._CACHE[1, (2, 1, 0)] == 2
+        assert psi._CACHE[1, (2, 0)] == psi._CACHE[1, (1, 1)] == 1
+        assert psi._string_dilaton({}, "graph", 2, lambda k: None, (0,)) == 0
+
+
 class TestNonIntegerExponents:
     @pytest.mark.parametrize("bad", [1.9, 1.0, "1", Fraction(1)])
     def test_rejected_not_truncated(self, bad):

@@ -479,6 +479,33 @@ class TestGeneratedGraphs:
         assert value == strata._recursive(graph, k)
 
 
+@st.composite
+def relabelled(draw, max_marks=5):
+    """A graph with marks, and the same graph with its vertices renumbered:
+    genera permuted and every edge end and leg moved to the new number."""
+    graph, k = draw(graphs_with_marks(max_marks))
+    order = draw(st.permutations(range(graph.vertex_count)))
+    genera = [0] * graph.vertex_count
+    for v, genus in enumerate(graph.genera):
+        genera[order[v]] = genus
+    edges = tuple(((order[a.vertex], a.psi), (order[b.vertex], b.psi)) for a, b in graph.edges)
+    legs = tuple((leg.label, order[leg.vertex], leg.psi) for leg in graph.legs)
+    return graph, DualGraph(tuple(genera), edges, legs), k
+
+
+@settings(deadline=None)
+@given(relabelled())
+def test_vertex_relabelling_leaves_pullback_unchanged(case):
+    # DualGraph equality is structural, so the renumbered graph is a new memo
+    # key and its orbit peel runs over the vertices in another order.
+    graph, renumbered, k = case
+    assert validate_graph(renumbered).ok
+    strata.clear_cache()
+    value = pullback_integral(graph, k)
+    strata.clear_cache()
+    assert pullback_integral(renumbered, k) == value
+
+
 class TestIntegerMemos:
     """The strata layer keeps ints scaled by 24^genus; the edges divide."""
 
