@@ -17,8 +17,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .arith import format_rational
 from .identities import (
@@ -53,14 +54,22 @@ CSV_COLUMNS = ("n", "partition") + VERIFY_METHODS + ("agree",)
 SOFT_N_MAX = 12
 
 
-@dataclass
-class OutputRecord:
-    """JSON-serializable result envelope; round-trips losslessly."""
-
+class _OutputFields(NamedTuple):
     command: str
     inputs: dict
-    results: list[dict] = field(default_factory=list)
-    agree: bool | None = None
+    results: list[dict]
+    agree: bool | None
+
+
+class OutputRecord(_OutputFields):
+    """JSON-serializable result envelope; round-trips losslessly."""
+
+    __slots__ = ()
+
+    def __new__(cls, command: str, inputs: dict, results: list[dict] | None = None,
+                agree: bool | None = None) -> "OutputRecord":
+        # A new list per record: a shared default would collect every record's results.
+        return super().__new__(cls, command, inputs, [] if results is None else results, agree)
 
     def to_dict(self) -> dict:
         out = {"command": self.command, "inputs": self.inputs, "results": self.results}
@@ -85,10 +94,18 @@ class OutputRecord:
         return cls.from_dict(json.loads(text))
 
 
+def _int_arg(text: str) -> int:
+    # ASCII decimal digits, as the graph grammar reads them; int() alone also
+    # takes '1_0' (as 10), '+1' and other scripts' digits such as '١'.
+    if not re.fullmatch(r"\s*-?[0-9]+\s*", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _exponents_arg(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(","))
-    except ValueError:
+        values = tuple(_int_arg(part) for part in text.split(","))
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers such as 2,1,0 — got {text!r}"
         )
@@ -99,8 +116,8 @@ def _exponents_arg(text: str) -> tuple[int, ...]:
 
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
-    except ValueError:
+        value = _int_arg(text)
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
@@ -115,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_psi = sub.add_parser("psi", help="psi-monomial intersection number in genus 0 or 1")
-    p_psi.add_argument("--genus", type=int, choices=(0, 1), required=True)
+    p_psi.add_argument("--genus", type=_int_arg, choices=(0, 1), required=True)
     p_psi.add_argument("--k", type=_exponents_arg, required=True, metavar="K1,K2,...",
                        help="psi exponents, one per marked point")
     p_psi.add_argument("--json", action="store_true", help="emit a JSON record")
@@ -206,14 +223,11 @@ def _partition_text(partition: tuple[int, ...]) -> str:
     return "+".join(str(part) for part in partition)
 
 
-def _verify_rows(reports) -> list[list[str]]:
-    rows = []
-    for report in reports:
-        row = [str(report.n), _partition_text(report.partition)]
-        row.extend(format_rational(report.values[m]) for m in VERIFY_METHODS)
-        row.append("true" if report.agreed else "false")
-        rows.append(row)
-    return rows
+def _verify_row(report) -> list[str]:
+    row = [str(report.n), _partition_text(report.partition)]
+    row.extend(format_rational(report.values[m]) for m in VERIFY_METHODS)
+    row.append("true" if report.agreed else "false")
+    return row
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -232,12 +246,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    reports = list(verify(args.n_max))
     if args.format == "csv":
+        # Each row as soon as its report is made: a long run shows progress.
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        writer.writerows(_verify_rows(reports))
-    elif args.format == "json":
+        agreed = True
+        for report in verify(args.n_max):
+            writer.writerow(_verify_row(report))
+            sys.stdout.flush()
+            agreed &= report.agreed
+        return EXIT_OK if agreed else EXIT_DISAGREE
+
+    reports = list(verify(args.n_max))
+    if args.format == "json":
         records = [
             OutputRecord(
                 command="verify",
@@ -252,7 +273,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ]
         print(json.dumps(records, indent=2))
     else:
-        rows = _verify_rows(reports)
+        rows = [_verify_row(report) for report in reports]
         header = list(CSV_COLUMNS[:-1]) + ["status"]
         display = [row[:-1] + ["AGREE" if row[-1] == "true" else "DISAGREE"] for row in rows]
         widths = [max(len(header[i]), *(len(row[i]) for row in display)) for i in range(len(header))]

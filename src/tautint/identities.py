@@ -15,10 +15,9 @@ to the same ingredients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .arith import Exponents, as_exponents, bernoulli, multinomial, partitions
 from .psi import _GRAPH_MEMO as _DELTA_MEMO  # the delta route's memo, for tracing and tests
@@ -144,8 +143,7 @@ def lambda_g_prediction(g: int, n: int, exponents: Iterable[int]) -> Fraction:
     return multinomial(degree, k) * lambda_g_initial(g)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """All route values for one (n, partition) input.
 
     ``agreed`` means every route within each method group returned the same

@@ -22,9 +22,8 @@ would outgrow ``MAX_PSI_COST`` entries is refused before any work.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .arith import Exponents, as_exponents, canonical, multinomial
 
@@ -41,8 +40,7 @@ class UnsupportedGenusError(ValueError):
     """Raised for a genus beyond the exactly-solvable range of this engine."""
 
 
-@dataclass(frozen=True)
-class ModuliIndex:
+class ModuliIndex(NamedTuple):
     """A moduli space of stable curves: genus and number of marked points."""
 
     genus: int
@@ -86,21 +84,20 @@ def psi_integral(space: ModuliIndex, exponents: Iterable[int]) -> Fraction:
     UnsupportedGenusError for genus >= 2.
     """
     k = as_exponents(exponents)
+    genus, marks = space  # one unpacking: each NamedTuple field read is a call
     if not space.is_stable:
-        raise ValueError(f"unstable moduli index (genus={space.genus}, marks={space.marks})")
-    if space.genus not in (0, 1):
-        raise UnsupportedGenusError(
-            f"genus {space.genus} is outside this engine's exact range (0 or 1)"
-        )
-    if len(k) != space.marks:
-        raise ValueError(f"expected {space.marks} exponents, got {len(k)}")
+        raise ValueError(f"unstable moduli index (genus={genus}, marks={marks})")
+    if genus not in (0, 1):
+        raise UnsupportedGenusError(f"genus {genus} is outside this engine's exact range (0 or 1)")
+    if len(k) != marks:
+        raise ValueError(f"expected {marks} exponents, got {len(k)}")
     if len(k) > _FREE_MARKS and sum(k) == space.dimension:
         if _fitting_partitions(canonical(k), MAX_PSI_COST) > MAX_PSI_COST:
             raise ValueError(
                 f"psi integral with {len(k)} marks is too costly: its memo would "
                 f"exceed {MAX_PSI_COST} entries"
             )
-    return Fraction(_scaled(space.genus, k), 24 ** space.genus)
+    return Fraction(_scaled(genus, k), 24 ** genus)
 
 
 # Largest memo that psi_integral fills for one input.  At the slowest rate

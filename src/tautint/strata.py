@@ -60,7 +60,6 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -135,7 +134,6 @@ def _label(label) -> str:
     return label
 
 
-@dataclass(frozen=True)
 class DualGraph:
     """A decorated dual graph, normalized so equal graphs compare equal.
 
@@ -147,11 +145,17 @@ class DualGraph:
     identical (this is structural identity, not graph isomorphism).
     """
 
-    genera: tuple[int, ...]
-    edges: tuple[Edge, ...] = ()
-    legs: tuple[Leg, ...] = ()
-    # Hashed once: graphs key the pullback memos, probed on every call.
-    _hash: int = field(default=0, init=False, compare=False, repr=False)
+    # Graphs key the memos probed on every call, so the hash is computed once
+    # into _hash, and the fields are slots: they read faster than NamedTuple fields.
+    __slots__ = ("genera", "edges", "legs", "_hash")
+    __match_args__ = ("genera", "edges", "legs")
+
+    def __init__(self, genera: tuple[int, ...], edges: tuple[Edge, ...] = (),
+                 legs: tuple[Leg, ...] = ()) -> None:
+        object.__setattr__(self, "genera", genera)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "legs", legs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "genera", _as_ints(self.genera, "vertex genera"))
@@ -168,12 +172,26 @@ class DualGraph:
         object.__setattr__(self, "legs", legs)
         object.__setattr__(self, "_hash", hash((self.genera, self.edges, self.legs)))
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.genera, self.edges, self.legs) == (other.genera, other.edges, other.legs)
+
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(genera={self.genera!r}, edges={self.edges!r}, "
+                f"legs={self.legs!r})")
 
     def __reduce__(self):
         # Rebuild on unpickling, as str hashes differ between processes.
         return DualGraph, (self.genera, self.edges, self.legs)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def vertex_count(self) -> int:
@@ -196,8 +214,7 @@ class Violation(NamedTuple):
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property
@@ -556,25 +573,24 @@ def pullback_integral(graph: DualGraph, exponents: Iterable[int] = ()) -> Fracti
     return cached
 
 
-@dataclass(frozen=True)
-class StrataExpression:
+class _ExpressionFields(NamedTuple):
+    terms: tuple[tuple[Fraction, DualGraph], ...] = ()
+
+
+class StrataExpression(_ExpressionFields):
     """Formal rational-coefficient combination of dual graphs.
 
     Terms with an identical graph are combined on construction and zero
     coefficients dropped, so no two stored terms share a graph.
     """
 
-    terms: tuple[tuple[Fraction, DualGraph], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, terms: tuple[tuple[Fraction, DualGraph], ...] = ()) -> StrataExpression:
         combined: dict[DualGraph, Fraction] = {}
-        for coefficient, graph in self.terms:
+        for coefficient, graph in terms:
             combined[graph] = combined.get(graph, Fraction(0)) + Fraction(coefficient)
-        object.__setattr__(
-            self,
-            "terms",
-            tuple((c, g) for g, c in combined.items() if c != 0),
-        )
+        return super().__new__(cls, tuple((c, g) for g, c in combined.items() if c != 0))
 
 
 def expression_integral(expression: StrataExpression, exponents: Iterable[int] = ()) -> Fraction:

@@ -3,12 +3,14 @@
 import csv
 import io
 import json
+import sys
 import time
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from tautint import cli, identities
 from tautint.arith import format_rational
 from tautint.cli import CSV_COLUMNS, OutputRecord, main
 from tautint.strata import delta_graph, format_graph
@@ -261,3 +263,75 @@ class TestOutputRecord:
     def test_agree_omitted_when_unset(self):
         record = OutputRecord(command="psi", inputs={}, results=[])
         assert "agree" not in record.to_dict()
+
+
+class TestIntegerArguments:
+    """--genus, --k and --n-max take ASCII decimal digits, as the graph
+    grammar does; int() alone would also read '1_0' as 10, '+1' and '١'."""
+
+    @pytest.mark.parametrize("value", ["1_0", "+1", "١", "1.0", ""])
+    def test_exponent_forms_refused(self, capsys, value):
+        code, out, err = run(capsys, "psi", "--genus", "1", "--k", value)
+        assert (code, out) == (2, "")
+        assert f"expected comma-separated integers such as 2,1,0 — got {value!r}" in err
+
+    def test_exponent_form_refused_in_any_position(self, capsys):
+        code, _, err = run(capsys, "pullback", "--graph", "delta", "--k", "2,+0")
+        assert code == 2 and "got '2,+0'" in err
+
+    @pytest.mark.parametrize("value", ["1_0", "+1", "١", "x"])
+    def test_genus_forms_refused(self, capsys, value):
+        code, out, err = run(capsys, "psi", "--genus", value, "--k", "1")
+        assert (code, out) == (2, "")
+        assert f"argument --genus: invalid int value: {value!r}" in err
+
+    @pytest.mark.parametrize("value", ["٢", "+2", "2_0", "2.0"])
+    def test_n_max_forms_refused(self, capsys, value):
+        code, out, err = run(capsys, "verify", "--n-max", value)
+        assert (code, out) == (2, "")
+        assert f"argument --n-max: expected an integer, got {value!r}" in err
+
+    def test_surrounding_spaces_allowed(self, capsys):
+        assert run(capsys, "psi", "--genus", " 1 ", "--k", " 2 , 0")[:2] == (0, "1/24\n")
+        code, out, _ = run(capsys, "verify", "--n-max", " 1\t", "--format", "csv")
+        assert code == 0 and out.count("\n") == 2
+
+    def test_signs_keep_their_messages(self, capsys):
+        _, _, err = run(capsys, "psi", "--genus", "1", "--k", "-1")
+        assert "exponents must be nonnegative, got '-1'" in err
+        _, _, err = run(capsys, "verify", "--n-max", "-3")
+        assert "expected a positive integer, got -3" in err
+        _, _, err = run(capsys, "psi", "--genus", "-1", "--k", "1")
+        assert "invalid choice: -1" in err
+
+
+class TestVerifyStreaming:
+    def test_csv_rows_written_as_reports_arrive(self, monkeypatch):
+        # The bytes under a buffered text stream: a row shows there only once
+        # it has been written and flushed.
+        raw = io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8"))
+        seen = []
+
+        def reports(n_max):
+            for report in identities.verify(n_max):
+                seen.append(raw.getvalue().decode())
+                yield report
+
+        monkeypatch.setattr(cli, "verify", reports)
+        assert main(["verify", "--n-max", "2", "--format", "csv"]) == 0
+        lines = raw.getvalue().decode().splitlines(keepends=True)
+        assert lines[0] == ",".join(CSV_COLUMNS) + "\n" and len(lines) == 4
+        assert seen[1:] == ["".join(lines[:2]), "".join(lines[:3])]
+
+    @pytest.mark.parametrize("form", ["csv", "text", "json"])
+    def test_disagreement_exits_3(self, capsys, monkeypatch, form):
+        def reports(n_max):
+            for report in identities.verify(n_max):
+                yield report._replace(agreed=report.n != 2)
+
+        monkeypatch.setattr(cli, "verify", reports)
+        code, out, _ = run(capsys, "verify", "--n-max", "3", "--format", form)
+        assert code == 3
+        assert out.count("false" if form == "csv" else "DISAGREE" if form == "text"
+                         else '"agree": false') == (3 if form == "text" else 2)

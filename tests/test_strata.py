@@ -692,3 +692,19 @@ class TestGraphText:
     def test_parse_errors(self, text):
         with pytest.raises(GraphParseError):
             parse_graph(text)
+
+
+@settings(deadline=None)
+@given(st.tuples(genus2_graphs(), st.integers(0, 4)))
+@pytest.mark.parametrize("evaluate", [pullback_integral, strata._recursive],
+                         ids=["orbit-sum", "recursion"])
+def test_string_and_dilaton_laws_on_generated_graphs(evaluate, case):
+    # For every k of n <= 4 marks (entries <= 4) with the degree each law
+    # needs: P(k+(0,)) = sum_j P(k-e_j), and P(k+(1,)) = (2g-2+L+n) P(k), g = 2.
+    graph, n = case
+    strata.clear_cache()
+    for k in (k[1:] for k in degree_matched(graph, n + 1, 4) if k[0] == 0):
+        lowered = (evaluate(graph, k[:j] + (k[j] - 1,) + k[j + 1:]) for j in range(n) if k[j])
+        assert evaluate(graph, k + (0,)) == sum(lowered, Fraction(0)), k
+    for k in degree_matched(graph, n, 4):
+        assert evaluate(graph, k + (1,)) == (2 + len(graph.legs) + n) * evaluate(graph, k), k
