@@ -12,7 +12,7 @@ from .identities import *
 from .psi import *
 from .strata import *
 
-# psi and strata each have a clear_cache; callers name the module.
+# psi and strata share one clear_cache, for every memo; callers name the module.
 del clear_cache
 
 __version__ = "0.1.0"

@@ -97,9 +97,12 @@ class OutputRecord(_OutputFields):
 def _int_arg(text: str) -> int:
     # ASCII decimal digits, as the graph grammar reads them; int() alone also
     # takes '1_0' (as 10), '+1' and other scripts' digits such as '١'.
-    if not re.fullmatch(r"\s*-?[0-9]+\s*", text):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    try:
+        if re.fullmatch(r"\s*-?[0-9]+\s*", text):
+            return int(text)
+    except ValueError:  # past int()'s digit limit
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _exponents_arg(text: str) -> tuple[int, ...]:

@@ -15,8 +15,9 @@ an independent cross-check.
 
 Inputs are checked at the public edge only: :func:`psi_integral` checks, then
 builds the one ``Fraction`` N/24^g from the check-free int entry ``_scaled``;
-the strata evaluator multiplies those ints directly.  An input whose memo
-would outgrow ``MAX_PSI_COST`` entries is refused before any work.
+the strata evaluator multiplies those ints directly.  :func:`clear_cache`
+empties every memo of the package, and the engine refuses a call whose memo
+would outgrow ``MAX_PSI_COST`` entries before any work.
 """
 
 from __future__ import annotations
@@ -55,21 +56,21 @@ class ModuliIndex(NamedTuple):
         return 2 * self.genus - 2 + self.marks > 0
 
 
-# Memos keyed on (genus or graph, descending-sorted exponents), holding the
-# int N = 24^g * value, g the genus or a graph's sum of vertex genera.  A
-# plain dict is enough for concurrent use in CPython: reads and writes of
-# immutable values are atomic, and racing threads can only ever insert the
-# identical value.
-_CACHE: dict[tuple[int, Exponents], int] = {}
-_GRAPH_MEMO: dict[tuple[object, Exponents], int] = {}  # filled by strata._recursive
+# Every memo of the package by name, strata's too, so one clear_cache empties
+# all.  Plain dicts suffice for concurrent use in CPython: reads and writes of
+# immutable values are atomic, and racing threads only insert equal values.
+# The psi and graph-recursion memos map (genus or graph, descending exponents)
+# to the int N = 24^g * value, g the genus or a graph's sum of vertex genera.
+_MEMOS: dict[str, dict] = {}
+_CACHE = _MEMOS["psi"] = {}
+_GRAPH_MEMO = _MEMOS["graph recursion"] = {}  # filled by strata._recursive
 _BASE = {0: {(0, 0, 0): 1}, 1: {(1,): 1}}  # 24^g times <1>_{0,3} and <psi_1>_{1,1}
 
 
 def clear_cache() -> None:
-    """Drop all memoized integrals, the graph engine's too (mainly for tests
-    and benchmarks)."""
-    _CACHE.clear()
-    _GRAPH_MEMO.clear()
+    """Drop every memo of the package (mainly for tests and benchmarks)."""
+    for memo in _MEMOS.values():
+        memo.clear()
 
 
 def psi_integral(space: ModuliIndex, exponents: Iterable[int]) -> Fraction:
@@ -91,21 +92,16 @@ def psi_integral(space: ModuliIndex, exponents: Iterable[int]) -> Fraction:
         raise UnsupportedGenusError(f"genus {genus} is outside this engine's exact range (0 or 1)")
     if len(k) != marks:
         raise ValueError(f"expected {marks} exponents, got {len(k)}")
-    if len(k) > _FREE_MARKS and sum(k) == space.dimension:
-        if _fitting_partitions(canonical(k), MAX_PSI_COST) > MAX_PSI_COST:
-            raise ValueError(
-                f"psi integral with {len(k)} marks is too costly: its memo would "
-                f"exceed {MAX_PSI_COST} entries"
-            )
     return Fraction(_scaled(genus, k), 24 ** genus)
 
 
-# Largest memo that psi_integral fills for one input.  At the slowest rate
-# measured, ~25 us per entry (2-vCPU Xeon, CPython 3.11), that is ~5 s.
+# Largest memo that one engine call fills (psi integral, vertex factor or graph
+# recursion).  At the slowest rate measured, ~25 us per entry (2-vCPU Xeon,
+# CPython 3.11), that is ~5 s.
 MAX_PSI_COST = 200_000
-# The memo holds at most one entry per partition of size <= the degree
-# 3g-3+n <= n, and there are 177 970 partitions of the sizes 0..39: inputs
-# of up to 39 marks are free.
+# The memo holds k and at most one entry per partition of size <= n (the
+# degree is 3g-3+n, or n+1 on a built-in graph), and there are 177 970
+# partitions of the sizes 0..39: inputs of up to 39 marks are free.
 _FREE_MARKS = 39
 
 
@@ -143,6 +139,10 @@ def _string_dilaton(table: dict, key: object, euler: int,
     # else None.  k is sorted descending.  Pending steps wait on an explicit
     # stack, so the depth is not bounded by Python's recursion limit.
     value = table.get((key, k))
+    if value is None and len(k) > _FREE_MARKS:
+        if _fitting_partitions(k, MAX_PSI_COST) > MAX_PSI_COST:
+            raise ValueError(f"recursion over {len(k)} marks is too costly: its memo "
+                             f"would exceed {MAX_PSI_COST} entries")
     stack = [] if value is not None else [(k, _step(table, key, euler, base, k))]
     while stack:
         k, step = stack[-1]

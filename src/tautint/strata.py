@@ -26,13 +26,14 @@ the point, the node and a nonempty part of the marks, and the undecorated
 vertex.  Decorations of total degree >= 2 on one vertex would need products of
 boundary divisors and are rejected whenever marks are being distributed.
 
-Public evaluators check a graph once (until :func:`clear_cache`) and the
-exponents on each call; per-vertex integrals then call the psi engine's
-check-free int entry, as a valid graph's vertices are stable.  The layer runs
-on ints: a vertex factor is 24^g times its value and an orbit sum 24^G times
-its value, G the sum of the vertex genera.  The one ``Fraction`` is built at
-the edge: by :func:`pullback_integral` for its memo, by the graph engine's
-caller for the memo of ints it fills, and per vertex for
+Public evaluators check a graph once, memoizing each vertex's genus and fixed
+exponents, and the exponents on each call; per-vertex integrals then call the
+psi engine's check-free int entry, as a valid graph's vertices are stable.
+:func:`clear_cache` is ``psi.clear_cache``, which empties every memo.  The
+layer runs on ints: a vertex factor is 24^g times its value and an orbit sum
+24^G times its value, G the sum of the vertex genera.  The one ``Fraction``
+is built at the edge: by :func:`pullback_integral` for its memo, by the graph
+engine's caller for the memo of ints it fills, and per vertex for
 :class:`VertexFactor`.
 
 Graph data (genera, vertices and psi of edge ends and legs) is taken at its
@@ -55,16 +56,16 @@ label raises it as ``line N:`` and the broken rule.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arith import Exponents, _as_ints, canonical
-from .psi import _GRAPH_MEMO, ModuliIndex, UnsupportedGenusError, _scaled, _string_dilaton
+from .psi import (_GRAPH_MEMO, _MEMOS, ModuliIndex, UnsupportedGenusError, _scaled,
+                  _string_dilaton, clear_cache)
 
 __all__ = [
     "EdgeEnd",
@@ -390,7 +391,8 @@ def _choose(counts: Iterable[int], taken: Iterable[int]) -> int:
     return math.prod(map(math.comb, counts, taken))
 
 
-_FACTOR_CACHE: dict[tuple[int, Exponents, Exponents], int] = {}
+_FACTOR_CACHE = _MEMOS["vertex factor"] = {}  # (genus, fixed, assigned) -> 24^genus * value
+_CHECKED = _MEMOS["graph check"] = {}  # evaluable graph -> (genus, fixed) per vertex
 
 
 def _factor_value(genus: int, fixed: Exponents, assigned: Exponents) -> int:
@@ -422,26 +424,28 @@ def _vertex_factor(genus: int, fixed: Exponents, assigned: Exponents) -> VertexF
     return VertexFactor(space, assigned + fixed, Fraction(value, 24 ** genus))
 
 
-@functools.cache
-def _check_graph(graph: DualGraph) -> int | None:
-    # The checks that see only the graph, run once per evaluable graph (an
-    # invalid one raises, which is not cached).  Returns a vertex whose
-    # decorations have total degree >= 2, which rules out marks, if any.
-    report = validate_graph(graph)
-    if not report.ok:
-        if all(v.kind == "unsupported-genus" for v in report.violations):
-            raise UnsupportedGenusError(str(report))
-        raise InvalidGraphError(report)
-    genus = total_genus(graph)
-    if genus != 2:
-        raise ValueError(f"graph has total genus {genus}; the evaluator covers genus 2")
-    return next((v for v in range(graph.vertex_count) if sum(graph.fixed_exponents(v)) >= 2), None)
+def _vertices(graph: DualGraph) -> tuple[tuple[int, Exponents], ...]:
+    # Each vertex's (genus, fixed) after the checks that see only the graph,
+    # run once per evaluable graph (an invalid one raises, not remembered).
+    vertices = _CHECKED.get(graph)
+    if vertices is None:
+        report = validate_graph(graph)
+        if not report.ok:
+            if all(v.kind == "unsupported-genus" for v in report.violations):
+                raise UnsupportedGenusError(str(report))
+            raise InvalidGraphError(report)
+        genus = total_genus(graph)
+        if genus != 2:
+            raise ValueError(f"graph has total genus {genus}; the evaluator covers genus 2")
+        fixed = map(graph.fixed_exponents, range(graph.vertex_count))
+        vertices = _CHECKED[graph] = tuple(zip(graph.genera, fixed))
+    return vertices
 
 
 def _require_evaluable(graph: DualGraph, exponents: Iterable[int]) -> Exponents:
     # The graph is checked before the exponents, so a bad graph is named first.
     k = _as_ints(exponents)
-    heavy = _check_graph(graph)
+    heavy = next((v for v, (_, fixed) in enumerate(_vertices(graph)) if sum(fixed) >= 2), None)
     if k and heavy is not None:
         raise UnsupportedDecorationError(
             f"vertex v{heavy} carries decorations of total degree >= 2; only a "
@@ -459,13 +463,13 @@ def stratum_terms(graph: DualGraph, exponents: Iterable[int] = ()) -> Iterator[S
     :func:`pullback_integral` for the (cached) total.
     """
     k = _require_evaluable(graph, exponents)
-    fixed = [graph.fixed_exponents(v) for v in range(graph.vertex_count)]
-    for assignment in itertools.product(range(graph.vertex_count), repeat=len(k)):
+    vertices = _vertices(graph)
+    for assignment in itertools.product(range(len(vertices)), repeat=len(k)):
         factors = []
         value = Fraction(1)
-        for v in range(graph.vertex_count):
+        for v, (genus, fixed) in enumerate(vertices):
             assigned = tuple(k[i] for i, home in enumerate(assignment) if home == v)
-            factor = _vertex_factor(graph.genera[v], fixed[v], assigned)
+            factor = _vertex_factor(genus, fixed, assigned)
             factors.append(factor)
             value *= factor.value
         yield StratumTerm(assignment, tuple(factors), value)
@@ -476,15 +480,7 @@ def stratum_terms(graph: DualGraph, exponents: Iterable[int] = ()) -> Iterator[S
 # that is ~5 s and ~300 MB.
 MAX_ORBIT_COST = 50_000_000
 
-_PULLBACK_CACHE: dict[tuple[DualGraph, Exponents], Fraction] = {}  # the public values
-
-
-def clear_cache() -> None:
-    """Drop memoized pullback integrals, vertex factors and graph checks
-    (mainly for tests and benchmarks)."""
-    _PULLBACK_CACHE.clear()
-    _FACTOR_CACHE.clear()
-    _check_graph.cache_clear()
+_PULLBACK_CACHE = _MEMOS["pullback"] = {}  # (graph, descending exponents) -> public value
 
 
 def _orbit_cost(marks: int, vertex_count: int, decorated: int, counts: tuple[int, ...]) -> int:
@@ -498,7 +494,7 @@ def _orbit_cost(marks: int, vertex_count: int, decorated: int, counts: tuple[int
     return marks * (vertex_count * subsets + max(vertex_count - 2 + decorated, 0) * pairs)
 
 
-def _peel(vertices: list[tuple[int, Exponents]], values: Exponents, counts: tuple[int, ...]) -> int:
+def _peel(vertices: Sequence[tuple[int, Exponents]], values: Exponents, counts: tuple[int, ...]) -> int:
     # Sum over the ways each distinct exponent value's multiplicity splits
     # over the (genus, fixed) vertices, weighted by the mark assignments in
     # the split, of the product of vertex factors: the int 24^G * value, G the
@@ -523,7 +519,7 @@ def _peel(vertices: list[tuple[int, Exponents]], values: Exponents, counts: tupl
 
 def _orbit_sum(graph: DualGraph, k: Exponents) -> int:
     # The stratum sum over orbits of mark assignments, as the int 24^G * value.
-    vertices = [(g, graph.fixed_exponents(v)) for v, g in enumerate(graph.genera)]
+    vertices = _vertices(graph)
     # The vertex conditions add up to sum(k) = 3 + n + legs - edges - decorations.
     if sum(k) - len(k) != sum(_excess(g, fixed) for g, fixed in vertices):
         return 0

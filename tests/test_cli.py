@@ -304,6 +304,25 @@ class TestIntegerArguments:
         _, _, err = run(capsys, "psi", "--genus", "-1", "--k", "1")
         assert "invalid choice: -1" in err
 
+    # Past int()'s default limit of 4300 digits, int() raises ValueError; the
+    # messages must stay the documented ones, not name a private helper.
+    LONG = "1" * 4301
+
+    def test_exponent_past_digit_limit(self, capsys):
+        code, out, err = run(capsys, "psi", "--genus", "0", "--k", self.LONG)
+        assert (code, out) == (2, "")
+        assert f"argument --k: expected comma-separated integers such as 2,1,0 — got {self.LONG!r}" in err
+
+    def test_n_max_past_digit_limit(self, capsys):
+        code, out, err = run(capsys, "verify", "--n-max", self.LONG)
+        assert (code, out) == (2, "")
+        assert f"argument --n-max: expected an integer, got {self.LONG!r}" in err
+
+    def test_genus_past_digit_limit(self, capsys):
+        code, out, err = run(capsys, "psi", "--genus", self.LONG, "--k", "1")
+        assert (code, out) == (2, "")
+        assert f"argument --genus: invalid int value: {self.LONG!r}" in err
+
 
 class TestVerifyStreaming:
     def test_csv_rows_written_as_reports_arrive(self, monkeypatch):
