@@ -41,14 +41,20 @@ def _as_ints(values: Iterable[int], what: str = "exponents") -> tuple[int, ...]:
         raise ValueError(f"{what} must be integers, got {bad!r}") from None
 
 
+def _nonnegative(values: Iterable[int]) -> Exponents:
+    # The values as ints, as _as_ints takes them, refusing a negative one.
+    k = _as_ints(values)
+    if k and min(k) < 0:
+        raise ValueError(f"exponents must be nonnegative, got {k}")
+    return k
+
+
 def as_exponents(values: Iterable[int]) -> Exponents:
     """Coerce an iterable of psi exponents to a validated tuple of ints;
     a non-integer entry raises ValueError."""
-    k = _as_ints(values)
+    k = _nonnegative(values)
     if not k:
         raise ValueError("exponent vector must have at least one entry")
-    if min(k) < 0:
-        raise ValueError(f"exponents must be nonnegative, got {k}")
     return k
 
 

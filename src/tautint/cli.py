@@ -161,20 +161,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(record: OutputRecord, value_text: str, as_json: bool) -> None:
-    print(record.to_json() if as_json else value_text)
+def _emit(args: argparse.Namespace, inputs: dict, method: str, result) -> int:
+    # One value: its "p/q" text, or with --json the command's record.
+    value = format_rational(result)
+    record = OutputRecord(args.command, inputs, [{"method": method, "value": value}])
+    print(record.to_json() if args.json else value)
+    return EXIT_OK
 
 
 def _cmd_psi(args: argparse.Namespace) -> int:
-    space = ModuliIndex(args.genus, len(args.k))
-    value = format_rational(psi_integral(space, args.k))
-    record = OutputRecord(
-        command="psi",
-        inputs={"genus": args.genus, "k": list(args.k)},
-        results=[{"method": "string-dilaton", "value": value}],
-    )
-    _emit(record, value, args.json)
-    return EXIT_OK
+    value = psi_integral(ModuliIndex(args.genus, len(args.k)), args.k)
+    return _emit(args, {"genus": args.genus, "k": list(args.k)}, "string-dilaton", value)
 
 
 def _resolve_graph(name: str):
@@ -196,14 +193,8 @@ def _cmd_pullback(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    value = format_rational(pullback_integral(graph, args.k))
-    record = OutputRecord(
-        command="pullback",
-        inputs={"graph": args.graph, "k": list(args.k)},
-        results=[{"method": "strata-sum", "value": value}],
-    )
-    _emit(record, value, args.json)
-    return EXIT_OK
+    value = pullback_integral(graph, args.k)
+    return _emit(args, {"graph": args.graph, "k": list(args.k)}, "strata-sum", value)
 
 
 def _cmd_lambda2(args: argparse.Namespace) -> int:
@@ -212,14 +203,7 @@ def _cmd_lambda2(args: argparse.Namespace) -> int:
         result = lambda2_closed(n, args.k)
     else:
         result = lambda2_integral(n, args.k, args.method)
-    value = format_rational(result)
-    record = OutputRecord(
-        command="lambda2",
-        inputs={"k": list(args.k), "method": args.method},
-        results=[{"method": args.method, "value": value}],
-    )
-    _emit(record, value, args.json)
-    return EXIT_OK
+    return _emit(args, {"k": list(args.k), "method": args.method}, args.method, result)
 
 
 def _partition_text(partition: tuple[int, ...]) -> str:

@@ -63,7 +63,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .arith import Exponents, _as_ints, canonical
+from .arith import Exponents, _as_ints, _nonnegative, canonical
 from .psi import (_GRAPH_MEMO, _MEMOS, ModuliIndex, UnsupportedGenusError, _scaled,
                   _string_dilaton, clear_cache)
 
@@ -376,19 +376,28 @@ def _runs(k: Exponents) -> tuple[Exponents, tuple[int, ...]]:
 
 
 def _expand(values: Exponents, counts: Iterable[int]) -> Exponents:
-    return tuple(itertools.chain.from_iterable(map(itertools.repeat, values, counts)))
+    # Tuple concatenation: for these few short runs, faster than chained repeats.
+    expanded = ()
+    for value, count in zip(values, counts):
+        expanded += (value,) * count
+    return expanded
 
 
 def _sub_multisets(counts: tuple[int, ...], values: Exponents, need: int) -> Iterator[tuple[int, ...]]:
     # The sub-multisets (as counts per value) whose sum of (x - 1) is ``need``.
-    weights = [x - 1 for x in values]
-    return (taken for taken in itertools.product(*(range(count + 1) for count in counts))
-            if sum(map(operator.mul, weights, taken)) == need)
-
-
-def _choose(counts: Iterable[int], taken: Iterable[int]) -> int:
-    # Ways to pick the taken marks out of labelled ones, value by value.
-    return math.prod(map(math.comb, counts, taken))
+    # Only the counts of parts above 1 are walked: a 1 adds nothing, so the 1s
+    # range freely, and a 0 takes one away, so the 0s taken are fixed by the
+    # rest.  Values descend, so the 1s and 0s are the last runs.
+    big = sum(x > 1 for x in values)
+    weights = [x - 1 for x in values[:big]]
+    ones = [(count,) for count in range(counts[big] + 1)] if 1 in values else [()]
+    zeros = counts[-1] if 0 in values else 0
+    for taken in itertools.product(*(range(count + 1) for count in counts[:big])):
+        drop = sum(map(operator.mul, weights, taken)) - need
+        if 0 <= drop <= zeros:
+            dropped = (drop,) if zeros else ()
+            for one in ones:
+                yield taken + one + dropped
 
 
 _FACTOR_CACHE = _MEMOS["vertex factor"] = {}  # (genus, fixed, assigned) -> 24^genus * value
@@ -451,9 +460,7 @@ def _require_evaluable(graph: DualGraph, exponents: Iterable[int]) -> Exponents:
             f"vertex v{heavy} carries decorations of total degree >= 2; only a "
             "single unit decoration per vertex can be pulled back exactly"
         )
-    if k and min(k) < 0:
-        raise ValueError(f"exponents must be nonnegative, got {k}")
-    return k
+    return _nonnegative(k)
 
 
 def stratum_terms(graph: DualGraph, exponents: Iterable[int] = ()) -> Iterator[StratumTerm]:
@@ -510,7 +517,8 @@ def _peel(vertices: Sequence[tuple[int, Exponents]], values: Exponents, counts: 
                 factor = _factor_value(genus, fixed, _expand(values, taken))
                 if factor:
                     rest = tuple(map(operator.sub, left, taken))
-                    reached[rest] = reached.get(rest, 0) + total * _choose(left, taken) * factor
+                    weight = total * math.prod(map(math.comb, left, taken)) * factor
+                    reached[rest] = reached.get(rest, 0) + weight
         states = reached
     genus, fixed = vertices[-1]
     return sum(total * _factor_value(genus, fixed, _expand(values, left))
@@ -592,7 +600,7 @@ class StrataExpression(_ExpressionFields):
 def expression_integral(expression: StrataExpression, exponents: Iterable[int] = ()) -> Fraction:
     """Pullback integral of a strata expression: the pullback distributes
     over the linear combination."""
-    k = tuple(exponents)
+    k = _nonnegative(exponents)
     return sum(
         (coefficient * pullback_integral(graph, k) for coefficient, graph in expression.terms),
         Fraction(0),

@@ -1,9 +1,11 @@
 """Tests for dual graphs, validation, and stratum-pullback evaluation."""
 
 import itertools
+import operator
 import os
 import re
 import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -280,6 +282,7 @@ class TestGraphStringDilaton:
 
 CHAIN3 = DualGraph((0, 0, 0), ((0, 1), (0, 1), (1, 2), (1, 2)), (("a", 0), ("b", 2)))
 LEGGED_DECO = DualGraph((1, 0), ((0, 1), ((1, 1), (1, 0))), (("x", 1),))
+DECORATED_DELTA = DualGraph((1, 0), (((0, 1), (1, 0)), (1, 1)))
 
 
 def legged_chain(vertex_count):
@@ -363,6 +366,42 @@ class TestOrbitSum:
         k = (3,) * 6 + (2,) * 6 + (1,) * 6 + (0,) * 17  # degree n+1, as the chain needs
         with pytest.raises(ValueError, match="too costly"):
             pullback_integral(graph, k)
+
+    @pytest.mark.parametrize("graph", [delta_graph(), gamma_psi_graph(), CHAIN3, LEGGED_DECO,
+                                       DECORATED_DELTA],
+                             ids=["delta", "gamma-psi", "chain3", "legged-deco", "decorated-delta"])
+    def test_vertex_factors_of_a_cold_orbit_sum_within_its_cost(self, graph, monkeypatch):
+        # The guard's estimate bounds the walk: every vertex factor one cold
+        # orbit sum asks for, those of a decoration's correction peel too.
+        calls = 0
+        factor_value = strata._factor_value
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return factor_value(*args)
+
+        monkeypatch.setattr(strata, "_factor_value", counted)
+        vertices = strata._vertices(graph)
+        decorated = sum(1 for _, fixed in vertices if sum(fixed))
+        checked = 0
+        for n in range(1, 9):
+            for k in degree_matched(graph, n, 4):
+                k = canonical(k)
+                psi.clear_cache()
+                calls = 0
+                strata._orbit_sum(graph, k)
+                counts = strata._runs(k)[1]
+                assert 0 < calls <= strata._orbit_cost(n, len(vertices), decorated, counts), k
+                checked += 1
+        assert checked > 8
+
+    def test_decorated_delta_without_marks_equals_its_one_stratum(self):
+        # The peel runs over an empty multiset; the one stratum is the graph's own class.
+        strata.clear_cache()
+        enumerated = sum((term.value for term in stratum_terms(DECORATED_DELTA)), Fraction(0))
+        strata.clear_cache()
+        assert pullback_integral(DECORATED_DELTA) == enumerated == Fraction(1, 24)
 
     def test_long_chain_input_allowed(self):
         # 150 marks on three vertices stay under the cost limit; the value
@@ -581,9 +620,66 @@ class TestGraphEngine:
         assert seen and all(min(k, default=2) >= 2 for k in seen)
 
 
+def sub_multisets_by_filter(counts, values, need):
+    """The definition: every sub-multiset, kept when its sum of (x - 1) is need."""
+    weights = [x - 1 for x in values]
+    return [taken for taken in itertools.product(*(range(count + 1) for count in counts))
+            if sum(map(operator.mul, weights, taken)) == need]
+
+
+class TestSubMultisets:
+    """The peel's walk over degree-matched splits, against its definition."""
+
+    @staticmethod
+    def walked(counts, values, need):
+        walked = list(strata._sub_multisets(counts, values, need))
+        assert len(walked) == len(set(walked)), (counts, values, need)
+        return sorted(walked)
+
+    def test_seeded_random_runs_match_the_filtered_product(self):
+        rng = random.Random(2024)
+        for _ in range(3000):
+            values = tuple(sorted(rng.sample(range(7), rng.randint(1, 5)), reverse=True))
+            counts = tuple(rng.randint(1, 5) for _ in values)
+            need = rng.randint(-6, 8)
+            assert self.walked(counts, values, need) == sub_multisets_by_filter(counts, values, need)
+
+    @pytest.mark.parametrize("values, counts", [
+        ((), ()),                         # the empty multiset
+        ((4, 2, 1), (2, 3, 1)),           # no 0 run
+        ((3, 2, 0), (2, 1, 4)),           # no 1 run
+        ((0,), (5,)),                     # only 0s
+        ((1,), (3,)),                     # only 1s
+        ((1, 0), (2, 3)),                 # 1s and 0s
+        ((5, 3, 2, 1, 0), (1, 2, 2, 3, 4)),
+    ])
+    def test_edges_match_the_filtered_product(self, values, counts):
+        weights = [x - 1 for x in values]
+        top = sum(w * c for w, c in zip(weights, counts) if w > 0)
+        bottom = -counts[-1] if values[-1:] == (0,) else 0
+        for need in range(bottom - 2, top + 3):  # out of reach below and above, too
+            expected = sub_multisets_by_filter(counts, values, need)
+            assert self.walked(counts, values, need) == expected, need
+            assert bool(expected) == (bottom <= need <= top), need
+
+    def test_empty_multiset_yields_the_empty_split_iff_nothing_is_needed(self):
+        assert list(strata._sub_multisets((), (), 0)) == [()]
+        assert list(strata._sub_multisets((), (), 1)) == []
+        assert list(strata._sub_multisets((), (), -1)) == []
+
+
 class TestStrataExpression:
     def test_empty_expression_is_zero(self):
         assert expression_integral(StrataExpression(), (2,)) == 0
+
+    @pytest.mark.parametrize("expression", [
+        StrataExpression(), StrataExpression(((Fraction(1), delta_graph()),))])
+    def test_exponents_checked_even_without_terms(self, expression):
+        with pytest.raises(ValueError, match="must be integers, got 1.5"):
+            expression_integral(expression, (1.5, -2))
+        with pytest.raises(ValueError, match=r"^exponents must be nonnegative, got \(2, -1\)$"):
+            expression_integral(expression, (2, -1))
+        assert expression_integral(expression, iter((2,))) == expression_integral(expression, (2,))
 
     def test_single_term(self):
         expr = StrataExpression(((Fraction(1), delta_graph()),))
