@@ -15,7 +15,6 @@ error, 3 verification disagreement.  All rationals are printed exactly as
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import re
 import sys
@@ -206,12 +205,8 @@ def _cmd_lambda2(args: argparse.Namespace) -> int:
     return _emit(args, {"k": list(args.k), "method": args.method}, args.method, result)
 
 
-def _partition_text(partition: tuple[int, ...]) -> str:
-    return "+".join(str(part) for part in partition)
-
-
 def _verify_row(report) -> list[str]:
-    row = [str(report.n), _partition_text(report.partition)]
+    row = [str(report.n), "+".join(str(part) for part in report.partition)]
     row.extend(format_rational(report.values[m]) for m in VERIFY_METHODS)
     row.append("true" if report.agreed else "false")
     return row
@@ -233,47 +228,48 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
+    # One pass, each report formatted once.  CSV prints each row as soon as its
+    # report is made, so a long run shows progress, and keeps no reports; text
+    # (column widths) and JSON (one list) need every row first.
     if args.format == "csv":
-        # Each row as soon as its report is made: a long run shows progress.
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        agreed = True
-        for report in verify(args.n_max):
-            writer.writerow(_verify_row(report))
-            sys.stdout.flush()
-            agreed &= report.agreed
-        return EXIT_OK if agreed else EXIT_DISAGREE
+        print(",".join(CSV_COLUMNS))
+    rows = []
+    agreed = True
+    for report in verify(args.n_max):
+        row = _verify_row(report)
+        agreed &= report.agreed
+        if args.format == "csv":
+            print(",".join(row), flush=True)
+        else:
+            rows.append((report, row))
 
-    reports = list(verify(args.n_max))
     if args.format == "json":
         records = [
             OutputRecord(
                 command="verify",
                 inputs={"n": report.n, "partition": list(report.partition)},
                 results=[
-                    {"method": m, "value": format_rational(report.values[m])}
-                    for m in VERIFY_METHODS
+                    {"method": m, "value": value}
+                    for m, value in zip(VERIFY_METHODS, row[2:-1])
                 ],
                 agree=report.agreed,
             ).to_dict()
-            for report in reports
+            for report, row in rows
         ]
         print(json.dumps(records, indent=2))
-    else:
-        rows = [_verify_row(report) for report in reports]
+    elif args.format == "text":
         header = list(CSV_COLUMNS[:-1]) + ["status"]
-        display = [row[:-1] + ["AGREE" if row[-1] == "true" else "DISAGREE"] for row in rows]
+        display = [row[:-1] + ["AGREE" if report.agreed else "DISAGREE"] for report, row in rows]
         widths = [max(len(header[i]), *(len(row[i]) for row in display)) for i in range(len(header))]
-        print("  ".join(header[i].ljust(widths[i]) for i in range(len(header))).rstrip())
-        for row in display:
+        for row in [header] + display:
             print("  ".join(row[i].ljust(widths[i]) for i in range(len(header))).rstrip())
-        disagreements = sum(not report.agreed for report in reports)
+        disagreements = sum(not report.agreed for report, _ in rows)
         if disagreements:
-            print(f"{len(reports)} partitions checked, {disagreements} DISAGREE")
+            print(f"{len(rows)} partitions checked, {disagreements} DISAGREE")
         else:
-            print(f"{len(reports)} partitions checked, all routes agree")
+            print(f"{len(rows)} partitions checked, all routes agree")
 
-    return EXIT_OK if all(report.agreed for report in reports) else EXIT_DISAGREE
+    return EXIT_OK if agreed else EXIT_DISAGREE
 
 
 _HANDLERS = {

@@ -200,8 +200,7 @@ class DualGraph:
 
     def valence(self, vertex: int) -> int:
         """Number of special points at a vertex: edge ends plus legs."""
-        ends = sum((end.vertex == vertex) for edge in self.edges for end in edge)
-        return ends + sum(leg.vertex == vertex for leg in self.legs)
+        return len(self.fixed_exponents(vertex))
 
     def fixed_exponents(self, vertex: int) -> Exponents:
         """psi decorations of the vertex's edge ends and legs (0 = undecorated)."""
@@ -482,9 +481,9 @@ def stratum_terms(graph: DualGraph, exponents: Iterable[int] = ()) -> Iterator[S
         yield StratumTerm(assignment, tuple(factors), value)
 
 
-# Largest _orbit_cost that pullback_integral accepts.  At the slowest rate
-# measured, ~0.1 us and ~6 bytes of memo per unit (2-vCPU Xeon, CPython 3.11),
-# that is ~5 s and ~300 MB.
+# Largest _orbit_cost that pullback_integral accepts.  The estimate does not track time: with
+# it lifted (2-vCPU Xeon, CPython 3.11), inputs refused at 1.3e9 and 2.5e9 ran in 0.4-1.1 s
+# and < 45 MB, no slower than delta at 105 marks (4.4e7, 0.4-0.9 s); README lists them.
 MAX_ORBIT_COST = 50_000_000
 
 _PULLBACK_CACHE = _MEMOS["pullback"] = {}  # (graph, descending exponents) -> public value

@@ -5,7 +5,11 @@ status words of text, indentation and key order of JSON, and the row layout
 of CSV.  A refactor of the formatting has to leave every one of them intact.
 """
 
+import csv
 import hashlib
+import io
+import subprocess
+import sys
 
 import pytest
 
@@ -34,3 +38,21 @@ def test_verify_stdout_and_exit_code(capsys, n_max, form):
     code, out = verify_output(capsys, n_max, form)
     assert code == 0
     assert hashlib.md5(out.encode("utf-8")).hexdigest() == GOLDEN_MD5[n_max, form]
+
+
+def test_csv_needs_no_quoting(capsys):
+    # Every field is a decimal integer, p/q, a+b+..., true/false or a column
+    # name, so a plain comma join is what a CSV writer would write.
+    code, out = verify_output(capsys, 10, "csv")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [line.split(",") for line in out.splitlines()]
+
+
+def test_import_pulls_in_no_csv():
+    code = ("import sys; before = set(sys.modules); import tautint.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    # conftest puts src/ on PYTHONPATH, which the child inherits.
+    imported = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True).stdout.split()
+    assert "tautint.cli" in imported
+    assert "csv" not in imported and "_csv" not in imported

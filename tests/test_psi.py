@@ -338,3 +338,17 @@ class TestCostGuard:
         for genus, n in [(0, 30), (1, 30), (1, 39)]:
             k = random_monomial(rng, genus, n)
             assert psi_integral(ModuliIndex(genus, n), k) != 0
+
+    def test_free_marks_fit_the_cost_bound(self):
+        # Up to _FREE_MARKS marks the memo holds at most one entry per
+        # partition of size <= _FREE_MARKS, so the engine skips the count.
+        # One more mark and that bound would pass MAX_PSI_COST: the two
+        # constants move together.  p(s) by the part-size recurrence, not by
+        # the engine's own count.
+        limit = psi._FREE_MARKS + 1
+        p = [1] + [0] * limit
+        for part in range(1, limit + 1):
+            for size in range(part, limit + 1):
+                p[size] += p[size - part]
+        assert p[10] == 42 and p[limit] == 37338
+        assert sum(p[:limit]) <= psi.MAX_PSI_COST < sum(p)
