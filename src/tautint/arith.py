@@ -41,6 +41,14 @@ def _as_ints(values: Iterable[int], what: str = "exponents") -> tuple[int, ...]:
         raise ValueError(f"{what} must be integers, got {bad!r}") from None
 
 
+def _as_int(value: int, name: str) -> int:
+    # One integer parameter, taken as _as_ints takes exponents.
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _nonnegative(values: Iterable[int]) -> Exponents:
     # The values as ints, as _as_ints takes them, refusing a negative one.
     k = _as_ints(values)
@@ -74,10 +82,16 @@ def multinomial(n: int, parts: Iterable[int]) -> int:
     Raises ValueError when the parts do not sum to ``n``.
     """
     k = as_exponents(parts)
+    n = _as_int(n, "n")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if sum(k) != n:
         raise ValueError(f"parts {k} do not sum to {n}")
+    return _multinomial(n, k)
+
+
+def _multinomial(n: int, k: Exponents) -> int:
+    # Check-free: k holds nonnegative ints summing to n.
     out = math.factorial(n)
     for part in k:
         out //= math.factorial(part)
@@ -94,6 +108,7 @@ def partitions(total: int, max_parts: int) -> Iterator[Exponents]:
 
     ``total == 0`` yields the single all-zero vector.
     """
+    total, max_parts = _as_int(total, "total"), _as_int(max_parts, "max_parts")
     if total < 0:
         raise ValueError("total must be nonnegative")
     if max_parts < 1:
@@ -123,6 +138,7 @@ def bernoulli(m: int) -> Fraction:
     Computed exactly from the recurrence sum_{k=0}^{m} C(m+1, k) B_k = 0
     with B_0 = 1.
     """
+    m = _as_int(m, "m")
     if m < 0:
         raise ValueError("index must be nonnegative")
     while len(_BERNOULLI) <= m:

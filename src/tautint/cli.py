@@ -206,8 +206,15 @@ def _cmd_lambda2(args: argparse.Namespace) -> int:
 
 
 def _verify_row(report) -> list[str]:
+    # A row that agrees holds two values, each repeated by its group's routes,
+    # so a value equal to the one before it reuses its text.
     row = [str(report.n), "+".join(str(part) for part in report.partition)]
-    row.extend(format_rational(report.values[m]) for m in VERIFY_METHODS)
+    value = text = None
+    for m in VERIFY_METHODS:
+        if value is None or report.values[m] != value:
+            value = report.values[m]
+            text = format_rational(value)
+        row.append(text)
     row.append("true" if report.agreed else "false")
     return row
 

@@ -11,6 +11,10 @@ input is the stratum sum at n <= 1), and the stratum sum of
 routes compute the same monomial paired with the top Chern class of the
 genus-2 Hodge bundle, whose boundary-strata decomposition reduces everything
 to the same ingredients.
+
+Each public function checks its input once, builds at most one ``Fraction``
+and calls check-free int forms of the multinomial and of the strata
+evaluators.
 """
 
 from __future__ import annotations
@@ -19,14 +23,15 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple
 
-from .arith import Exponents, as_exponents, bernoulli, multinomial, partitions
+from .arith import (Exponents, _as_int, _multinomial, as_exponents, bernoulli, canonical,
+                    partitions)
 from .psi import _GRAPH_MEMO as _DELTA_MEMO  # the delta route's memo, for tracing and tests
 from .strata import (
     StrataExpression,
+    _expression_sum,
     _recursive,
     delta0_graph,
     delta_graph,
-    expression_integral,
     gamma_psi_graph,
     pullback_integral,
 )
@@ -67,6 +72,7 @@ LAMBDA2_METHOD_NAMES = tuple(_LAMBDA2_EXPRESSIONS)
 
 def _check_partition(n: int, exponents: Iterable[int]) -> Exponents:
     k = as_exponents(exponents)
+    n = _as_int(n, "n")
     if n < 1:
         raise ValueError("n must be a positive integer")
     if len(k) != n:
@@ -79,7 +85,7 @@ def _check_partition(n: int, exponents: Iterable[int]) -> Exponents:
 def pullback_delta_closed(n: int, exponents: Iterable[int]) -> Fraction:
     """Closed form: 1/24 times the multinomial coefficient of the partition."""
     k = _check_partition(n, exponents)
-    return Fraction(multinomial(n + 1, k), 24)
+    return Fraction(_multinomial(n + 1, k), 24)
 
 
 def pullback_delta_recursive(n: int, exponents: Iterable[int]) -> Fraction:
@@ -96,7 +102,7 @@ def pullback_delta_recursive(n: int, exponents: Iterable[int]) -> Fraction:
 def lambda2_closed(n: int, exponents: Iterable[int]) -> Fraction:
     """Closed form 7/5760 times the multinomial coefficient (7/5760 = 7/(24*8*30))."""
     k = _check_partition(n, exponents)
-    return Fraction(7 * multinomial(n + 1, k), 5760)
+    return Fraction(7 * _multinomial(n + 1, k), 5760)
 
 
 def lambda2_expression(method: str) -> StrataExpression:
@@ -114,15 +120,26 @@ def lambda2_expression(method: str) -> StrataExpression:
 def lambda2_integral(n: int, exponents: Iterable[int], method: str = "eq5") -> Fraction:
     """Integrate the psi monomial against the strata form of the Hodge class."""
     k = _check_partition(n, exponents)
-    return expression_integral(lambda2_expression(method), k)
+    return _expression_sum(lambda2_expression(method), canonical(k))
+
+
+def _check_genus(g: int) -> int:
+    g = _as_int(g, "g")
+    if g < 1:
+        raise ValueError("genus must be positive")
+    return g
+
+
+def _lambda_g_ratio(g: int) -> tuple[int, int]:
+    # lambda_g_initial(g) as (numerator, denominator), for a checked g.
+    half = 2 ** (2 * g - 1)
+    b = bernoulli(2 * g)
+    return (half - 1) * abs(b.numerator), half * b.denominator * factorial(2 * g)
 
 
 def lambda_g_initial(g: int) -> Fraction:
     """The one-point Hodge integral ((2^{2g-1}-1)/2^{2g-1}) |B_{2g}| / (2g)!."""
-    if g < 1:
-        raise ValueError("genus must be positive")
-    half = 2 ** (2 * g - 1)
-    return Fraction(half - 1, half) * abs(bernoulli(2 * g)) / factorial(2 * g)
+    return Fraction(*_lambda_g_ratio(_check_genus(g)))
 
 
 def lambda_g_prediction(g: int, n: int, exponents: Iterable[int]) -> Fraction:
@@ -132,15 +149,15 @@ def lambda_g_prediction(g: int, n: int, exponents: Iterable[int]) -> Fraction:
     Verifiable against independent routes only at g = 2 here; other genera
     are formula-only.
     """
-    if g < 1:
-        raise ValueError("genus must be positive")
+    g, n = _check_genus(g), _as_int(n, "n")
     k = as_exponents(exponents)
     if len(k) != n:
         raise ValueError(f"expected {n} exponents, got {len(k)}")
     degree = 2 * g - 3 + n
     if sum(k) != degree:
         raise ValueError(f"exponents {k} must sum to 2g-3+n = {degree}")
-    return multinomial(degree, k) * lambda_g_initial(g)
+    numerator, denominator = _lambda_g_ratio(g)
+    return Fraction(_multinomial(degree, k) * numerator, denominator)
 
 
 class VerificationReport(NamedTuple):
@@ -161,6 +178,7 @@ def verify(n_max: int) -> Iterator[VerificationReport]:
     """Cross-check every route for all partitions of n+1 into at most n parts,
     n = 1..n_max, in deterministic order (n ascending, partitions
     reverse-lexicographic, zero-padded to length n)."""
+    n_max = _as_int(n_max, "n_max")
     if n_max < 1:
         raise ValueError("n_max must be a positive integer")
     for n in range(1, n_max + 1):
@@ -174,9 +192,13 @@ def verify(n_max: int) -> Iterator[VerificationReport]:
                 "lambda2_eq3": lambda2_integral(n, k, "eq3"),
                 "lambda_g_pred": lambda_g_prediction(2, n, k),
             }
+            # Compared with ==, and the ratio cross-multiplied: no Fraction
+            # is hashed or built.
+            delta, hodge = values["delta_closed"], values["lambda2_closed"]
             agreed = (
-                len({values[m] for m in DELTA_METHODS}) == 1
-                and len({values[m] for m in LAMBDA2_METHODS}) == 1
-                and values["lambda2_closed"] == Fraction(7, 240) * values["delta_closed"]
+                all(values[m] == delta for m in DELTA_METHODS)
+                and all(values[m] == hodge for m in LAMBDA2_METHODS)
+                and 240 * hodge.numerator * delta.denominator
+                == 7 * delta.numerator * hodge.denominator
             )
             yield VerificationReport(n=n, partition=k, values=values, agreed=agreed)

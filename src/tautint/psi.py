@@ -26,7 +26,7 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
-from .arith import Exponents, as_exponents, canonical, multinomial
+from .arith import Exponents, _as_int, as_exponents, canonical, multinomial
 
 __all__ = [
     "ModuliIndex",
@@ -80,13 +80,14 @@ def psi_integral(space: ModuliIndex, exponents: Iterable[int]) -> Fraction:
     dimension 3g-3+n; a degree mismatch is a value, not an error, so stratum
     evaluators can silently discard non-contributing terms.
 
-    Raises ValueError for an unstable index, a wrong-length exponent vector
-    or an input whose memo would exceed ``MAX_PSI_COST`` entries, and
-    UnsupportedGenusError for genus >= 2.
+    Raises ValueError for a non-integer or unstable index, a wrong-length
+    exponent vector or an input whose memo would exceed ``MAX_PSI_COST``
+    entries, and UnsupportedGenusError for genus >= 2.
     """
     k = as_exponents(exponents)
     genus, marks = space  # one unpacking: each NamedTuple field read is a call
-    if not space.is_stable:
+    genus, marks = _as_int(genus, "genus"), _as_int(marks, "marks")
+    if 2 * genus - 2 + marks <= 0:  # space.is_stable, on the ints
         raise ValueError(f"unstable moduli index (genus={genus}, marks={marks})")
     if genus not in (0, 1):
         raise UnsupportedGenusError(f"genus {genus} is outside this engine's exact range (0 or 1)")

@@ -27,14 +27,15 @@ vertex.  Decorations of total degree >= 2 on one vertex would need products of
 boundary divisors and are rejected whenever marks are being distributed.
 
 Public evaluators check a graph once, memoizing each vertex's genus and fixed
-exponents, and the exponents on each call; per-vertex integrals then call the
-psi engine's check-free int entry, as a valid graph's vertices are stable.
+exponents, and the exponents once per call; both integrals then read one
+check-free pullback memo, and per-vertex integrals call the psi engine's
+check-free int entry, as a valid graph's vertices are stable.
 :func:`clear_cache` is ``psi.clear_cache``, which empties every memo.  The
 layer runs on ints: a vertex factor is 24^g times its value and an orbit sum
 24^G times its value, G the sum of the vertex genera.  The one ``Fraction``
-is built at the edge: by :func:`pullback_integral` for its memo, by the graph
-engine's caller for the memo of ints it fills, and per vertex for
-:class:`VertexFactor`.
+is built at the edge: for the pullback memo, over an expression's common
+denominator, by the graph engine's caller for the memo of ints it fills, and
+per vertex for :class:`VertexFactor`.
 
 Graph data (genera, vertices and psi of edge ends and legs) is taken at its
 integer value; a float, str or Fraction raises ValueError, never truncated.
@@ -276,11 +277,11 @@ def validate_graph(graph: DualGraph) -> ValidationReport:
     if _component_count(graph) > 1:
         problems.append(Violation("disconnected", "graph is not connected"))
 
-    for i, g in enumerate(graph.genera):
-        if 2 * g - 2 + graph.valence(i) <= 0:
+    for i, (g, fixed) in enumerate(zip(graph.genera, _fixed_by_vertex(graph))):
+        if 2 * g - 2 + len(fixed) <= 0:
             problems.append(Violation(
                 "unstable-vertex",
-                f"vertex v{i} (genus {g}, valence {graph.valence(i)}) violates 2g-2+valence > 0",
+                f"vertex v{i} (genus {g}, valence {len(fixed)}) violates 2g-2+valence > 0",
             ))
         if g > 1:
             problems.append(Violation(
@@ -288,6 +289,18 @@ def validate_graph(graph: DualGraph) -> ValidationReport:
                 f"vertex v{i} has genus {g}; evaluable vertices have genus <= 1",
             ))
     return ValidationReport(tuple(problems))
+
+
+def _fixed_by_vertex(graph: DualGraph) -> list[Exponents]:
+    # Every vertex's fixed_exponents, in one pass over the edges and legs of a
+    # graph whose edge ends and legs all reference its vertices.
+    fixed: list[list[int]] = [[] for _ in graph.genera]
+    for edge in graph.edges:
+        for end in edge:
+            fixed[end.vertex].append(end.psi)
+    for leg in graph.legs:
+        fixed[leg.vertex].append(leg.psi)
+    return list(map(tuple, fixed))
 
 
 def _component_count(graph: DualGraph) -> int:
@@ -370,8 +383,8 @@ def _excess(genus: int, fixed: Exponents) -> int:
 
 def _runs(k: Exponents) -> tuple[Exponents, tuple[int, ...]]:
     # A descending multiset as its distinct values and their multiplicities.
-    runs = [(value, len(list(run))) for value, run in itertools.groupby(k)]
-    return tuple(value for value, _ in runs), tuple(count for _, count in runs)
+    values = tuple(dict.fromkeys(k))
+    return values, tuple(map(k.count, values))
 
 
 def _expand(values: Exponents, counts: Iterable[int]) -> Exponents:
@@ -445,21 +458,20 @@ def _vertices(graph: DualGraph) -> tuple[tuple[int, Exponents], ...]:
         genus = total_genus(graph)
         if genus != 2:
             raise ValueError(f"graph has total genus {genus}; the evaluator covers genus 2")
-        fixed = map(graph.fixed_exponents, range(graph.vertex_count))
-        vertices = _CHECKED[graph] = tuple(zip(graph.genera, fixed))
+        vertices = _CHECKED[graph] = tuple(zip(graph.genera, _fixed_by_vertex(graph)))
     return vertices
 
 
-def _require_evaluable(graph: DualGraph, exponents: Iterable[int]) -> Exponents:
-    # The graph is checked before the exponents, so a bad graph is named first.
-    k = _as_ints(exponents)
+def _require_evaluable(graph: DualGraph, k: tuple[int, ...]) -> None:
+    # k as ints.  The graph is checked before the exponents, so a bad graph is named first.
     heavy = next((v for v, (_, fixed) in enumerate(_vertices(graph)) if sum(fixed) >= 2), None)
     if k and heavy is not None:
         raise UnsupportedDecorationError(
             f"vertex v{heavy} carries decorations of total degree >= 2; only a "
             "single unit decoration per vertex can be pulled back exactly"
         )
-    return _nonnegative(k)
+    if k and min(k) < 0:
+        raise ValueError(f"exponents must be nonnegative, got {k}")
 
 
 def stratum_terms(graph: DualGraph, exponents: Iterable[int] = ()) -> Iterator[StratumTerm]:
@@ -468,7 +480,8 @@ def stratum_terms(graph: DualGraph, exponents: Iterable[int] = ()) -> Iterator[S
     The generator always performs the full enumeration; use
     :func:`pullback_integral` for the (cached) total.
     """
-    k = _require_evaluable(graph, exponents)
+    k = _as_ints(exponents)
+    _require_evaluable(graph, k)
     vertices = _vertices(graph)
     for assignment in itertools.product(range(len(vertices)), repeat=len(k)):
         factors = []
@@ -565,14 +578,25 @@ def pullback_integral(graph: DualGraph, exponents: Iterable[int] = ()) -> Fracti
     when the orbit sum's estimated cost exceeds ``MAX_ORBIT_COST``.
     """
     k = _as_ints(exponents)
+    key = canonical(k)
     # Only checked inputs are cached, and the checks see only the graph and
-    # the multiset of k, so a hit needs no check.
-    key = (graph, canonical(k))
+    # the multiset of k, so a hit needs no check: it is the core's probe inlined.
+    cached = _PULLBACK_CACHE.get((graph, key))
+    if cached is None:
+        if key and key[-1] < 0:
+            _require_evaluable(graph, k)  # raises, naming a bad graph before k as given
+        cached = _pullback(graph, key)
+    return cached
+
+
+def _pullback(graph: DualGraph, k: Exponents) -> Fraction:
+    # The memoized check-free core: k holds nonnegative ints, sorted
+    # descending.  A miss checks the graph and its decorations.
+    key = (graph, k)
     cached = _PULLBACK_CACHE.get(key)
     if cached is None:
         _require_evaluable(graph, k)
-        cached = _PULLBACK_CACHE[key] = Fraction(_orbit_sum(graph, key[1]),
-                                                 24 ** sum(graph.genera))
+        cached = _PULLBACK_CACHE[key] = Fraction(_orbit_sum(graph, k), 24 ** sum(graph.genera))
     return cached
 
 
@@ -599,11 +623,19 @@ class StrataExpression(_ExpressionFields):
 def expression_integral(expression: StrataExpression, exponents: Iterable[int] = ()) -> Fraction:
     """Pullback integral of a strata expression: the pullback distributes
     over the linear combination."""
-    k = _nonnegative(exponents)
-    return sum(
-        (coefficient * pullback_integral(graph, k) for coefficient, graph in expression.terms),
-        Fraction(0),
-    )
+    return _expression_sum(expression, canonical(_nonnegative(exponents)))
+
+
+def _expression_sum(expression: StrataExpression, k: Exponents) -> Fraction:
+    # Check-free: k holds nonnegative ints, sorted descending.  The terms add
+    # up as ints over one common denominator, reduced by the one Fraction.
+    numerator, denominator = 0, 1
+    for coefficient, graph in expression.terms:
+        value = _pullback(graph, k)
+        scale = coefficient.denominator * value.denominator
+        numerator = numerator * scale + coefficient.numerator * value.numerator * denominator
+        denominator *= scale
+    return Fraction(numerator, denominator)
 
 
 # --- graph literal format ---------------------------------------------------
