@@ -151,7 +151,6 @@ def bernoulli(m: int) -> Fraction:
 def format_rational(value: Fraction | int) -> str:
     """Render an exact rational as "p/q", omitting "/q" when q is 1."""
     # Decimal prints every digit; str(int) stops at sys.get_int_max_str_digits().
-    value = Fraction(value)
     if value.denominator == 1:
         return str(Decimal(value.numerator))
     return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"

@@ -26,10 +26,12 @@ the point, the node and a nonempty part of the marks, and the undecorated
 vertex.  Decorations of total degree >= 2 on one vertex would need products of
 boundary divisors and are rejected whenever marks are being distributed.
 
-Public evaluators check a graph once, memoizing each vertex's genus and fixed
-exponents, and the exponents once per call; both integrals then read one
-check-free pullback memo, and per-vertex integrals call the psi engine's
-check-free int entry, as a valid graph's vertices are stable.
+A graph builds its per-vertex fixed exponents once, on the first query, so
+``fixed_exponents`` and ``valence`` answer without a scan.  Public evaluators
+check a graph once, memoizing each vertex's genus and fixed exponents, and
+the exponents once per call; both integrals then read one check-free
+pullback memo, and per-vertex integrals call the psi engine's check-free int
+entry, as a valid graph's vertices are stable.
 :func:`clear_cache` is ``psi.clear_cache``, which empties every memo.  The
 layer runs on ints: a vertex factor is 24^g times its value and an orbit sum
 24^G times its value, G the sum of the vertex genera.  The one ``Fraction``
@@ -149,7 +151,7 @@ class DualGraph:
 
     # Graphs key the memos probed on every call, so the hash is computed once
     # into _hash, and the fields are slots: they read faster than NamedTuple fields.
-    __slots__ = ("genera", "edges", "legs", "_hash")
+    __slots__ = ("genera", "edges", "legs", "_hash", "_fixed")
     __match_args__ = ("genera", "edges", "legs")
 
     def __init__(self, genera: tuple[int, ...], edges: tuple[Edge, ...] = (),
@@ -205,9 +207,16 @@ class DualGraph:
 
     def fixed_exponents(self, vertex: int) -> Exponents:
         """psi decorations of the vertex's edge ends and legs (0 = undecorated)."""
-        exps = [end.psi for edge in self.edges for end in edge if end.vertex == vertex]
-        exps.extend(leg.psi for leg in self.legs if leg.vertex == vertex)
-        return tuple(exps)
+        try:
+            return self._fixed.get(vertex, ())
+        except AttributeError:
+            # The first query fills every vertex's lists in one pass over the edge
+            # ends, then the legs, keyed by vertex, as a dangling end may name any int.
+            fixed: dict[int, list[int]] = {}
+            for end in itertools.chain(*self.edges, self.legs):
+                fixed.setdefault(end.vertex, []).append(end.psi)
+            object.__setattr__(self, "_fixed", {v: tuple(psis) for v, psis in fixed.items()})
+            return self.fixed_exponents(vertex)
 
 
 class Violation(NamedTuple):
@@ -277,11 +286,11 @@ def validate_graph(graph: DualGraph) -> ValidationReport:
     if _component_count(graph) > 1:
         problems.append(Violation("disconnected", "graph is not connected"))
 
-    for i, (g, fixed) in enumerate(zip(graph.genera, _fixed_by_vertex(graph))):
-        if 2 * g - 2 + len(fixed) <= 0:
+    for i, (g, valence) in enumerate(zip(graph.genera, map(graph.valence, range(nv)))):
+        if 2 * g - 2 + valence <= 0:
             problems.append(Violation(
                 "unstable-vertex",
-                f"vertex v{i} (genus {g}, valence {len(fixed)}) violates 2g-2+valence > 0",
+                f"vertex v{i} (genus {g}, valence {valence}) violates 2g-2+valence > 0",
             ))
         if g > 1:
             problems.append(Violation(
@@ -289,18 +298,6 @@ def validate_graph(graph: DualGraph) -> ValidationReport:
                 f"vertex v{i} has genus {g}; evaluable vertices have genus <= 1",
             ))
     return ValidationReport(tuple(problems))
-
-
-def _fixed_by_vertex(graph: DualGraph) -> list[Exponents]:
-    # Every vertex's fixed_exponents, in one pass over the edges and legs of a
-    # graph whose edge ends and legs all reference its vertices.
-    fixed: list[list[int]] = [[] for _ in graph.genera]
-    for edge in graph.edges:
-        for end in edge:
-            fixed[end.vertex].append(end.psi)
-    for leg in graph.legs:
-        fixed[leg.vertex].append(leg.psi)
-    return list(map(tuple, fixed))
 
 
 def _component_count(graph: DualGraph) -> int:
@@ -458,7 +455,8 @@ def _vertices(graph: DualGraph) -> tuple[tuple[int, Exponents], ...]:
         genus = total_genus(graph)
         if genus != 2:
             raise ValueError(f"graph has total genus {genus}; the evaluator covers genus 2")
-        vertices = _CHECKED[graph] = tuple(zip(graph.genera, _fixed_by_vertex(graph)))
+        vertices = _CHECKED[graph] = tuple((g, graph.fixed_exponents(v))
+                                           for v, g in enumerate(graph.genera))
     return vertices
 
 
