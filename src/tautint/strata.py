@@ -14,8 +14,7 @@ Fubini factorization.  A vertex's integral depends only on the multiset of
 exponents it receives, so the total is summed over orbits: the ways each
 distinct exponent's multiplicity splits over the vertices, weighted by the
 number of distributions in the orbit.  :func:`stratum_terms` still lists the
-V^n strata one by one; both read the same memoized vertex factors.  An orbit
-sum whose estimated cost exceeds ``MAX_ORBIT_COST`` is refused up front.
+V^n strata one by one; both read the same memoized vertex factors.
 
 A psi decoration on a half-edge means the psi class at that point on the
 vertex's own moduli space.  Under the forgetful pullback that class acquires
@@ -24,14 +23,17 @@ bubbles off with new marks), so a unit decoration is expanded as the
 plain-exponent term minus the same orbit peel over a genus-0 bubble, holding
 the point, the node and a nonempty part of the marks, and the undecorated
 vertex.  Decorations of total degree >= 2 on one vertex would need products of
-boundary divisors and are rejected whenever marks are being distributed.
+boundary divisors.
 
-A graph builds its per-vertex fixed exponents once, on the first query, so
-``fixed_exponents`` and ``valence`` answer without a scan.  Public evaluators
-check a graph once, memoizing each vertex's genus and fixed exponents, and
-the exponents once per call; both integrals then read one check-free
-pullback memo, and per-vertex integrals call the psi engine's check-free int
-entry, as a valid graph's vertices are stable.
+A graph builds its per-vertex fixed exponents once, on construction, so
+``fixed_exponents`` and ``valence`` answer without a scan.  A graph is
+checked once, memoizing each vertex's genus and fixed exponents, and public
+evaluators check the exponents once per call.  The orbit core itself refuses
+the two inputs it cannot compute, before any work: marks on a vertex whose
+decorations total >= 2, and an orbit sum whose estimated cost exceeds
+``MAX_ORBIT_COST``.  So the pullback memo in front of it runs no check, and
+every route refuses alike.  Per-vertex integrals call the psi engine's
+check-free int entry, as a valid graph's vertices are stable.
 :func:`clear_cache` is ``psi.clear_cache``, which empties every memo.  The
 layer runs on ints: a vertex factor is 24^g times its value and an orbit sum
 24^G times its value, G the sum of the vertex genera.  The one ``Fraction``
@@ -175,6 +177,12 @@ class DualGraph:
                             for label, *rest in shaped))
         object.__setattr__(self, "legs", legs)
         object.__setattr__(self, "_hash", hash((self.genera, self.edges, self.legs)))
+        # Every vertex's fixed exponents in one pass over the edge ends, then
+        # the legs, keyed by vertex, as a dangling end may name any int.
+        fixed: dict[int, list[int]] = {}
+        for end in itertools.chain(*self.edges, legs):
+            fixed.setdefault(end.vertex, []).append(end.psi)
+        object.__setattr__(self, "_fixed", {v: tuple(psis) for v, psis in fixed.items()})
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -207,16 +215,7 @@ class DualGraph:
 
     def fixed_exponents(self, vertex: int) -> Exponents:
         """psi decorations of the vertex's edge ends and legs (0 = undecorated)."""
-        try:
-            return self._fixed.get(vertex, ())
-        except AttributeError:
-            # The first query fills every vertex's lists in one pass over the edge
-            # ends, then the legs, keyed by vertex, as a dangling end may name any int.
-            fixed: dict[int, list[int]] = {}
-            for end in itertools.chain(*self.edges, self.legs):
-                fixed.setdefault(end.vertex, []).append(end.psi)
-            object.__setattr__(self, "_fixed", {v: tuple(psis) for v, psis in fixed.items()})
-            return self.fixed_exponents(vertex)
+        return self._fixed.get(vertex, ())
 
 
 class Violation(NamedTuple):
@@ -460,16 +459,17 @@ def _vertices(graph: DualGraph) -> tuple[tuple[int, Exponents], ...]:
     return vertices
 
 
-def _require_evaluable(graph: DualGraph, k: tuple[int, ...]) -> None:
-    # k as ints.  The graph is checked before the exponents, so a bad graph is named first.
-    heavy = next((v for v, (_, fixed) in enumerate(_vertices(graph)) if sum(fixed) >= 2), None)
+def _marked_vertices(graph: DualGraph, k: Exponents) -> tuple[tuple[int, Exponents], ...]:
+    # _vertices(graph), refusing marks k when a vertex's decorations total >= 2:
+    # its pulled-back class would need products of boundary divisors.
+    vertices = _vertices(graph)
+    heavy = next((v for v, (_, fixed) in enumerate(vertices) if sum(fixed) >= 2), None)
     if k and heavy is not None:
         raise UnsupportedDecorationError(
             f"vertex v{heavy} carries decorations of total degree >= 2; only a "
             "single unit decoration per vertex can be pulled back exactly"
         )
-    if k and min(k) < 0:
-        raise ValueError(f"exponents must be nonnegative, got {k}")
+    return vertices
 
 
 def stratum_terms(graph: DualGraph, exponents: Iterable[int] = ()) -> Iterator[StratumTerm]:
@@ -479,8 +479,8 @@ def stratum_terms(graph: DualGraph, exponents: Iterable[int] = ()) -> Iterator[S
     :func:`pullback_integral` for the (cached) total.
     """
     k = _as_ints(exponents)
-    _require_evaluable(graph, k)
-    vertices = _vertices(graph)
+    vertices = _marked_vertices(graph, k)
+    _nonnegative(k)
     for assignment in itertools.product(range(len(vertices)), repeat=len(k)):
         factors = []
         value = Fraction(1)
@@ -537,7 +537,7 @@ def _peel(vertices: Sequence[tuple[int, Exponents]], values: Exponents, counts: 
 
 def _orbit_sum(graph: DualGraph, k: Exponents) -> int:
     # The stratum sum over orbits of mark assignments, as the int 24^G * value.
-    vertices = _vertices(graph)
+    vertices = _marked_vertices(graph, k)
     # The vertex conditions add up to sum(k) = 3 + n + legs - edges - decorations.
     if sum(k) - len(k) != sum(_excess(g, fixed) for g, fixed in vertices):
         return 0
@@ -582,18 +582,17 @@ def pullback_integral(graph: DualGraph, exponents: Iterable[int] = ()) -> Fracti
     cached = _PULLBACK_CACHE.get((graph, key))
     if cached is None:
         if key and key[-1] < 0:
-            _require_evaluable(graph, k)  # raises, naming a bad graph before k as given
+            _marked_vertices(graph, k)  # a bad graph or decoration is named before k
+            _nonnegative(k)
         cached = _pullback(graph, key)
     return cached
 
 
 def _pullback(graph: DualGraph, k: Exponents) -> Fraction:
-    # The memoized check-free core: k holds nonnegative ints, sorted
-    # descending.  A miss checks the graph and its decorations.
+    # The memoized orbit sum: k holds nonnegative ints, sorted descending.
     key = (graph, k)
     cached = _PULLBACK_CACHE.get(key)
     if cached is None:
-        _require_evaluable(graph, k)
         cached = _PULLBACK_CACHE[key] = Fraction(_orbit_sum(graph, k), 24 ** sum(graph.genera))
     return cached
 
