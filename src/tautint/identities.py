@@ -25,7 +25,9 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .arith import (Exponents, _as_int, _multinomial, as_exponents, bernoulli, canonical,
                     partitions)
-from .psi import _GRAPH_MEMO as _DELTA_MEMO  # the delta route's memo, for tracing and tests
+# The delta route's memo, for tracing and tests.  The eq3 route fills it too,
+# with the recursion of gamma_psi_graph()'s decorated vertex.
+from .psi import _GRAPH_MEMO as _DELTA_MEMO
 from .strata import (
     StrataExpression,
     _expression_sum,

@@ -6,12 +6,15 @@ two base values <1>_{0,3} = 1 and <psi_1>_{1,1} = 1/24.  Every coefficient
 of those steps is an integer (a run length or the dilaton factor), so the
 engine runs on Python ints: it memoizes N = 24^g * value, starting from the
 base N = 1 in both genera, and the edge builds the one ``Fraction`` N/24^g.
-The same iterative engine, keyed by a genus-2 dual graph in place of a
-genus, runs the string and dilaton laws of that graph's forgetful pullbacks
-down to its stratum sum: the delta route of :mod:`tautint.identities` is the
-engine on ``delta_graph()``, whose only non-recursive input is the stratum
-sum at n <= 1.  A closed-form multinomial evaluation in genus 0 is kept as
-an independent cross-check.
+The same iterative engine runs the string and dilaton laws of any class
+pulled back along the maps forgetting marks.  Keyed by a genus-2 dual graph,
+it runs a graph's forgetful pullbacks down to its stratum sum: the delta
+route of :mod:`tautint.identities` is the engine on ``delta_graph()``, whose
+only non-recursive input is the stratum sum at n <= 1.  Keyed by a vertex's
+(genus, fixed exponents), it runs a psi-decorated vertex factor of
+:mod:`tautint.strata` down to the inputs where the decoration's boundary
+correction is peeled.  A closed-form multinomial evaluation in genus 0 is
+kept as an independent cross-check.
 
 Inputs are checked at the public edge only: :func:`psi_integral` checks, then
 builds the one ``Fraction`` N/24^g from the check-free int entry ``_scaled``;
@@ -59,11 +62,14 @@ class ModuliIndex(NamedTuple):
 # Every memo of the package by name, strata's too, so one clear_cache empties
 # all.  Plain dicts suffice for concurrent use in CPython: reads and writes of
 # immutable values are atomic, and racing threads only insert equal values.
-# The psi and graph-recursion memos map (genus or graph, descending exponents)
-# to the int N = 24^g * value, g the genus or a graph's sum of vertex genera.
+# The psi memo maps (genus, descending exponents) to the int N = 24^g * value.
+# The graph-recursion memo holds the recursions over a pulled-back class, as
+# ints 24^g * value: a graph's pullbacks (strata._recursive) keyed by (graph,
+# exponents), g its sum of vertex genera, and a decorated vertex's factors
+# (strata._factor_value) keyed by ((genus, fixed exponents), exponents).
 _MEMOS: dict[str, dict] = {}
 _CACHE = _MEMOS["psi"] = {}
-_GRAPH_MEMO = _MEMOS["graph recursion"] = {}  # filled by strata._recursive
+_GRAPH_MEMO = _MEMOS["graph recursion"] = {}
 _BASE = {0: {(0, 0, 0): 1}, 1: {(1,): 1}}  # 24^g times <1>_{0,3} and <psi_1>_{1,1}
 
 
@@ -133,7 +139,8 @@ def _scaled(genus: int, k: Exponents) -> int:
 def _string_dilaton(table: dict, key: object, euler: int,
                     base: Callable[[Exponents], int | Fraction | None], k: Exponents):
     # The values of one family, memoized in ``table`` under (key, k): psi
-    # integrals of genus ``key`` (as ints N), or pullbacks of the graph ``key``.
+    # integrals of genus ``key`` (as ints N), pullbacks of the graph ``key``,
+    # or the factors of the decorated vertex ``key`` = (genus, fixed).
     # The steps only add and multiply by ints, so values keep the base's type
     # (an empty string sum is the int 0).  ``euler`` is the family's 2g-2 plus
     # legs; ``base(k)`` is the value where string and dilaton do not apply,

@@ -17,13 +17,15 @@ number of distributions in the orbit.  :func:`stratum_terms` still lists the
 V^n strata one by one; both read the same memoized vertex factors.
 
 A psi decoration on a half-edge means the psi class at that point on the
-vertex's own moduli space.  Under the forgetful pullback that class acquires
-boundary corrections (psi = pulled-back psi + the divisor where the point
-bubbles off with new marks), so a unit decoration is expanded as the
-plain-exponent term minus the same orbit peel over a genus-0 bubble, holding
-the point, the node and a nonempty part of the marks, and the undecorated
-vertex.  Decorations of total degree >= 2 on one vertex would need products of
-boundary divisors.
+vertex's own moduli space.  That class is pulled back from the vertex's space
+without the marks, so a unit decoration's factor obeys the string and dilaton
+laws over the marks, and the psi engine runs them down to the inputs with no
+marks or every exponent >= 2.  There the pullback acquires its boundary
+corrections (psi = pulled-back psi + the divisor where the point bubbles off
+with new marks), so the factor is the plain-exponent term minus the same
+orbit peel over a genus-0 bubble, holding the point, the node and a nonempty
+part of the marks, and the undecorated vertex.  Decorations of total degree
+>= 2 on one vertex would need products of boundary divisors.
 
 A graph builds its per-vertex fixed exponents once, on construction, so
 ``fixed_exponents`` and ``valence`` answer without a scan.  A graph is
@@ -417,19 +419,34 @@ def _factor_value(genus: int, fixed: Exponents, assigned: Exponents) -> int:
     multiset of assigned exponents whose degree matches the vertex.
 
     For a decorated vertex the value includes the boundary corrections of the
-    pulled-back decoration.  Memoized on (genus, fixed, assigned).
+    pulled-back decoration.  That class comes from the vertex's space without
+    the marks, so the string law runs over the marks alone (the fixed points
+    carry no psi of their own), the dilaton factor counts every special point,
+    and the corrections are peeled only where neither law applies.  Memoized
+    on (genus, fixed, assigned); the recursion fills the graph-recursion memo
+    under (genus, fixed).
     """
     key = (genus, fixed, assigned)
     value = _FACTOR_CACHE.get(key)
     if value is None:
-        value = _scaled(genus, assigned + fixed)
         if sum(fixed) and assigned:
-            # Single unit decoration at one fixed point h.  The honest psi
-            # class at h is the pulled-back one plus the boundary divisors
-            # where h bubbles off with a nonempty subset of the marks, so
-            # subtract the peel over a genus-0 bubble holding that subset, h
-            # and the node, then the vertex with h's decoration dropped.
-            value -= _peel([(0, (0, 0)), (genus, (0,) * len(fixed))], *_runs(assigned))
+            bubble = [(0, (0, 0)), (genus, (0,) * len(fixed))]
+
+            def base(k: Exponents) -> int | None:
+                # Single unit decoration at one fixed point h.  The honest psi
+                # class at h is the pulled-back one plus the boundary divisors
+                # where h bubbles off with a nonempty subset of the marks, so
+                # subtract the peel over a genus-0 bubble holding that subset,
+                # h and the node, then the vertex with h's decoration dropped
+                # (an empty sum when there are no marks).
+                if not k or k[-1] > 1:
+                    return _scaled(genus, k + fixed) - _peel(bubble, *_runs(k))
+                return None
+
+            euler = 2 * genus - 2 + len(fixed)
+            value = _string_dilaton(_GRAPH_MEMO, (genus, fixed), euler, base, assigned)
+        else:
+            value = _scaled(genus, assigned + fixed)
         _FACTOR_CACHE[key] = value
     return value
 
@@ -557,11 +574,15 @@ def _recursive(graph: DualGraph, exponents: Iterable[int]) -> Fraction:
     # the string law P(k+(0,)) = sum_j P(k-e_j) and the dilaton law
     # P(k+(1,)) = (2+L+n) P(k), down to the stratum sum once every exponent
     # is >= 2, where the degree bound leaves at most 3+L-|E|-decorations marks.
-    # The memo holds the ints 24^G * value, as _orbit_sum returns them.
+    # The memo holds the ints 24^G * value, as _orbit_sum returns them.  A
+    # heavy decoration is refused up front, as the steps may never reach the
+    # orbit core's refusal: (1,) and (0,) step straight down to k = ().
     def base(k: Exponents) -> int | None:
         return _orbit_sum(graph, k) if not k or k[-1] > 1 else None
 
-    scaled = _string_dilaton(_GRAPH_MEMO, graph, 2 + len(graph.legs), base, canonical(exponents))
+    k = canonical(exponents)
+    _marked_vertices(graph, k)
+    scaled = _string_dilaton(_GRAPH_MEMO, graph, 2 + len(graph.legs), base, k)
     return Fraction(scaled, 24 ** sum(graph.genera))
 
 
