@@ -25,8 +25,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .arith import (Exponents, _as_int, _multinomial, as_exponents, bernoulli, canonical,
                     partitions)
-# The delta route's memo, for tracing and tests.  The eq3 route fills it too,
-# with the recursion of gamma_psi_graph()'s decorated vertex.
+# The delta route's memo, for tracing and tests.  Every pullback route fills it
+# too, with its vertex factors.
 from .psi import _GRAPH_MEMO as _DELTA_MEMO
 from .strata import (
     StrataExpression,

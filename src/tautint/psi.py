@@ -11,10 +11,10 @@ pulled back along the maps forgetting marks.  Keyed by a genus-2 dual graph,
 it runs a graph's forgetful pullbacks down to its stratum sum: the delta
 route of :mod:`tautint.identities` is the engine on ``delta_graph()``, whose
 only non-recursive input is the stratum sum at n <= 1.  Keyed by a vertex's
-(genus, fixed exponents), it runs a psi-decorated vertex factor of
-:mod:`tautint.strata` down to the inputs where the decoration's boundary
-correction is peeled.  A closed-form multinomial evaluation in genus 0 is
-kept as an independent cross-check.
+(genus, fixed exponents), it runs each vertex factor of
+:mod:`tautint.strata` over the vertex's marks, down to plain psi integrals.
+A closed-form multinomial evaluation in genus 0 is kept as an independent
+cross-check.
 
 Inputs are checked at the public edge only: :func:`psi_integral` checks, then
 builds the one ``Fraction`` N/24^g from the check-free int entry ``_scaled``;
@@ -65,7 +65,7 @@ class ModuliIndex(NamedTuple):
 # The psi memo maps (genus, descending exponents) to the int N = 24^g * value.
 # The graph-recursion memo holds the recursions over a pulled-back class, as
 # ints 24^g * value: a graph's pullbacks (strata._recursive) keyed by (graph,
-# exponents), g its sum of vertex genera, and a decorated vertex's factors
+# exponents), g its sum of vertex genera, and every vertex factor
 # (strata._factor_value) keyed by ((genus, fixed exponents), exponents).
 _MEMOS: dict[str, dict] = {}
 _CACHE = _MEMOS["psi"] = {}
@@ -140,7 +140,7 @@ def _string_dilaton(table: dict, key: object, euler: int,
                     base: Callable[[Exponents], int | Fraction | None], k: Exponents):
     # The values of one family, memoized in ``table`` under (key, k): psi
     # integrals of genus ``key`` (as ints N), pullbacks of the graph ``key``,
-    # or the factors of the decorated vertex ``key`` = (genus, fixed).
+    # or the factors of the vertex ``key`` = (genus, fixed).
     # The steps only add and multiply by ints, so values keep the base's type
     # (an empty string sum is the int 0).  ``euler`` is the family's 2g-2 plus
     # legs; ``base(k)`` is the value where string and dilaton do not apply,

@@ -18,14 +18,13 @@ V^n strata one by one; both read the same memoized vertex factors.
 
 A psi decoration on a half-edge means the psi class at that point on the
 vertex's own moduli space.  That class is pulled back from the vertex's space
-without the marks, so a unit decoration's factor obeys the string and dilaton
-laws over the marks, and the psi engine runs them down to the inputs with no
-marks or every exponent >= 2.  There the pullback acquires its boundary
-corrections (psi = pulled-back psi + the divisor where the point bubbles off
-with new marks), so the factor is the plain-exponent term minus the same
-orbit peel over a genus-0 bubble, holding the point, the node and a nonempty
-part of the marks, and the undecorated vertex.  Decorations of total degree
->= 2 on one vertex would need products of boundary divisors.
+without the marks, so every vertex factor, decorated or not, obeys the string
+and dilaton laws over its marks, and the psi engine runs them down to the
+inputs with no marks or every exponent >= 2.  There a unit decoration's
+boundary corrections (the divisors where the point bubbles off with new
+marks) vanish by degree, so the factor is the plain psi integral.
+Decorations of total degree >= 2 on one vertex would need products of
+boundary divisors.
 
 A graph builds its per-vertex fixed exponents once, on construction, so
 ``fixed_exponents`` and ``valence`` answer without a scan.  A graph is
@@ -34,8 +33,8 @@ evaluators check the exponents once per call.  The orbit core itself refuses
 the two inputs it cannot compute, before any work: marks on a vertex whose
 decorations total >= 2, and an orbit sum whose estimated cost exceeds
 ``MAX_ORBIT_COST``.  So the pullback memo in front of it runs no check, and
-every route refuses alike.  Per-vertex integrals call the psi engine's
-check-free int entry, as a valid graph's vertices are stable.
+every route refuses alike.  Vertex factors call the psi engine's check-free
+recursion, as a valid graph's vertices are stable.
 :func:`clear_cache` is ``psi.clear_cache``, which empties every memo.  The
 layer runs on ints: a vertex factor is 24^g times its value and an orbit sum
 24^G times its value, G the sum of the vertex genera.  The one ``Fraction``
@@ -356,8 +355,8 @@ def builtin_graph(name: str) -> DualGraph:
 class VertexFactor(NamedTuple):
     """One vertex's contribution to a stratum: its moduli space, the exponent
     vector it integrates (assigned marks first, then fixed points), and the
-    resulting value.  For a decorated vertex the value includes the boundary
-    corrections of the pulled-back decoration."""
+    resulting value.  A decoration is the psi class pulled back from the
+    vertex's space without the marks."""
 
     space: ModuliIndex
     exponents: Exponents
@@ -410,7 +409,6 @@ def _sub_multisets(counts: tuple[int, ...], values: Exponents, need: int) -> Ite
                 yield taken + one + dropped
 
 
-_FACTOR_CACHE = _MEMOS["vertex factor"] = {}  # (genus, fixed, assigned) -> 24^genus * value
 _CHECKED = _MEMOS["graph check"] = {}  # evaluable graph -> (genus, fixed) per vertex
 
 
@@ -418,36 +416,22 @@ def _factor_value(genus: int, fixed: Exponents, assigned: Exponents) -> int:
     """One vertex's factor, as the int 24^genus * value, for a descending
     multiset of assigned exponents whose degree matches the vertex.
 
-    For a decorated vertex the value includes the boundary corrections of the
-    pulled-back decoration.  That class comes from the vertex's space without
-    the marks, so the string law runs over the marks alone (the fixed points
-    carry no psi of their own), the dilaton factor counts every special point,
-    and the corrections are peeled only where neither law applies.  Memoized
-    on (genus, fixed, assigned); the recursion fills the graph-recursion memo
-    under (genus, fixed).
+    The fixed points' psi classes, a decoration's too, come from the vertex's
+    space without the marks, so the string law runs over the marks alone and
+    the dilaton factor counts every special point, down to the inputs with no
+    marks or every exponent >= 2.  There the factor is the plain psi integral.
+    Memoized in the graph-recursion memo under ((genus, fixed), assigned).
     """
-    key = (genus, fixed, assigned)
-    value = _FACTOR_CACHE.get(key)
+    value = _GRAPH_MEMO.get(((genus, fixed), assigned))
     if value is None:
-        if sum(fixed) and assigned:
-            bubble = [(0, (0, 0)), (genus, (0,) * len(fixed))]
+        def base(k: Exponents) -> int | None:
+            # A decoration's boundary corrections vanish here: a genus-0
+            # bubble holding the decorated point, the node and marks S has
+            # dimension |S| - 1, but S brings degree >= 2|S|.
+            return _scaled(genus, k + fixed) if not k or k[-1] > 1 else None
 
-            def base(k: Exponents) -> int | None:
-                # Single unit decoration at one fixed point h.  The honest psi
-                # class at h is the pulled-back one plus the boundary divisors
-                # where h bubbles off with a nonempty subset of the marks, so
-                # subtract the peel over a genus-0 bubble holding that subset,
-                # h and the node, then the vertex with h's decoration dropped
-                # (an empty sum when there are no marks).
-                if not k or k[-1] > 1:
-                    return _scaled(genus, k + fixed) - _peel(bubble, *_runs(k))
-                return None
-
-            euler = 2 * genus - 2 + len(fixed)
-            value = _string_dilaton(_GRAPH_MEMO, (genus, fixed), euler, base, assigned)
-        else:
-            value = _scaled(genus, assigned + fixed)
-        _FACTOR_CACHE[key] = value
+        euler = 2 * genus - 2 + len(fixed)
+        value = _string_dilaton(_GRAPH_MEMO, (genus, fixed), euler, base, assigned)
     return value
 
 
@@ -510,22 +494,22 @@ def stratum_terms(graph: DualGraph, exponents: Iterable[int] = ()) -> Iterator[S
 
 
 # Largest _orbit_cost that pullback_integral accepts.  The estimate does not track time: with
-# it lifted (2-vCPU Xeon, CPython 3.11), inputs refused at 1.3e9 and 2.5e9 ran in 0.4-1.1 s
-# and < 45 MB, no slower than delta at 105 marks (4.4e7, 0.4-0.9 s); README lists them.
+# it lifted (2-vCPU Xeon, CPython 3.11), the legged chain refused at 1.3e9 ran in 0.5-1.1 s
+# and < 45 MB, no slower than delta at 105 marks (4.3e7, 0.4-0.9 s).  README lists these
+# and more, as tools/check/orbit_cost.py measures them.
 MAX_ORBIT_COST = 50_000_000
 
 _PULLBACK_CACHE = _MEMOS["pullback"] = {}  # (graph, descending exponents) -> public value
 
 
-def _orbit_cost(marks: int, vertex_count: int, decorated: int, counts: tuple[int, ...]) -> int:
+def _orbit_cost(marks: int, vertex_count: int, counts: tuple[int, ...]) -> int:
     # Upper bound on the tuple entries _orbit_sum builds and hashes: each step
     # handles a multiset of up to ``marks`` exponents.  The first and last
-    # vertex take at most one step per sub-multiset of k, as does the
-    # correction peel of a lone vertex; a middle vertex, or the correction
-    # peel of a decorated vertex among others, one per nested pair of them.
+    # vertex take at most one step per sub-multiset of k; a middle vertex one
+    # per nested pair of them.
     subsets = math.prod(count + 1 for count in counts)
     pairs = math.prod(math.comb(count + 2, 2) for count in counts)
-    return marks * (vertex_count * subsets + max(vertex_count - 2 + decorated, 0) * pairs)
+    return marks * (vertex_count * subsets + max(vertex_count - 2, 0) * pairs)
 
 
 def _peel(vertices: Sequence[tuple[int, Exponents]], values: Exponents, counts: tuple[int, ...]) -> int:
@@ -559,8 +543,7 @@ def _orbit_sum(graph: DualGraph, k: Exponents) -> int:
     if sum(k) - len(k) != sum(_excess(g, fixed) for g, fixed in vertices):
         return 0
     values, counts = _runs(k)
-    decorated = sum(1 for _, fixed in vertices if sum(fixed)) if k else 0
-    cost = _orbit_cost(len(k), len(vertices), decorated, counts)
+    cost = _orbit_cost(len(k), len(vertices), counts)
     if cost > MAX_ORBIT_COST:
         raise ValueError(
             f"pullback over {len(vertices)} vertices with {len(k)} marks is too "

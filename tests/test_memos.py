@@ -29,9 +29,8 @@ def test_one_clear_function():
     assert "functools" not in vars(strata)
 
 
-def test_registry_holds_the_five_memos():
-    memos = [psi._CACHE, psi._GRAPH_MEMO, strata._FACTOR_CACHE, strata._PULLBACK_CACHE,
-             strata._CHECKED]
+def test_registry_holds_the_four_memos():
+    memos = [psi._CACHE, psi._GRAPH_MEMO, strata._PULLBACK_CACHE, strata._CHECKED]
     assert sorted(map(id, psi._MEMOS.values())) == sorted(map(id, memos))
     assert identities._DELTA_MEMO is psi._GRAPH_MEMO
 
@@ -96,7 +95,7 @@ class TestEngineGuard:
         psi.clear_cache()
         with pytest.raises(ValueError, match="too costly"):
             strata._vertex_factor(0, (0, 0, 0), assigned)
-        assert not psi._CACHE and not strata._FACTOR_CACHE
+        assert not psi._CACHE and not psi._GRAPH_MEMO
 
     def test_small_recursions_skip_the_count(self, monkeypatch):
         def no_count(*args):

@@ -17,8 +17,8 @@ def test_two_undecorated_vertices_cost_twice_one():
     # With one or two vertices, no middle vertex and no decoration, the
     # estimate has no nested-pair term: one sub-multiset walk per vertex.
     for marks, counts in ((5, (2, 3)), (7, (1, 1, 4, 1)), (12, (6,))):
-        one = strata._orbit_cost(marks, 1, 0, counts)
-        assert strata._orbit_cost(marks, 2, 0, counts) == 2 * one
+        one = strata._orbit_cost(marks, 1, counts)
+        assert strata._orbit_cost(marks, 2, counts) == 2 * one
 
 
 def test_format_graph_counts_half_edge_slots_from_zero():

@@ -372,7 +372,7 @@ class TestOrbitSum:
                              ids=["delta", "gamma-psi", "chain3", "legged-deco", "decorated-delta"])
     def test_vertex_factors_of_a_cold_orbit_sum_within_its_cost(self, graph, monkeypatch):
         # The guard's estimate bounds the walk: every vertex factor one cold
-        # orbit sum asks for, those of a decoration's correction peel too.
+        # orbit sum asks for, a decorated vertex's as an undecorated one's.
         calls = 0
         factor_value = strata._factor_value
 
@@ -383,7 +383,6 @@ class TestOrbitSum:
 
         monkeypatch.setattr(strata, "_factor_value", counted)
         vertices = strata._vertices(graph)
-        decorated = sum(1 for _, fixed in vertices if sum(fixed))
         checked = 0
         for n in range(1, 9):
             for k in degree_matched(graph, n, 4):
@@ -392,7 +391,7 @@ class TestOrbitSum:
                 calls = 0
                 strata._orbit_sum(graph, k)
                 counts = strata._runs(k)[1]
-                assert 0 < calls <= strata._orbit_cost(n, len(vertices), decorated, counts), k
+                assert 0 < calls <= strata._orbit_cost(n, len(vertices), counts), k
                 checked += 1
         assert checked > 8
 
@@ -414,9 +413,9 @@ class TestOrbitSum:
     def test_clear_cache_drops_vertex_factors(self):
         strata.clear_cache()
         pullback_integral(LEGGED_DECO, (2, 1, 1))
-        assert strata._FACTOR_CACHE and strata._PULLBACK_CACHE
+        assert psi._GRAPH_MEMO and strata._PULLBACK_CACHE
         strata.clear_cache()
-        assert not strata._FACTOR_CACHE and not strata._PULLBACK_CACHE
+        assert not psi._GRAPH_MEMO and not strata._PULLBACK_CACHE
 
     def test_graph_checked_once_over_many_misses(self, monkeypatch):
         calls = []
@@ -563,8 +562,7 @@ class TestIntegerMemos:
                 assert value == pullback_delta_closed(n, k)
                 # delta's vertex genera add up to 1
                 assert psi._GRAPH_MEMO[delta_graph(), canonical(k)] == 24 * value
-        assert strata._FACTOR_CACHE and psi._GRAPH_MEMO
-        assert all(type(value) is int for value in strata._FACTOR_CACHE.values())
+        assert psi._GRAPH_MEMO
         assert all(type(value) is int for value in psi._GRAPH_MEMO.values())
         assert all(type(value) is Fraction for value in strata._PULLBACK_CACHE.values())
         assert type(psi_integral(ModuliIndex(1, 2), (1, 1))) is Fraction
@@ -576,7 +574,10 @@ class TestIntegerMemos:
                 pullback_integral(LEGGED_DECO, k)
         pullback_delta_recursive(1, (2,))
         decorated = 0
-        for (genus, fixed, assigned), scaled in strata._FACTOR_CACHE.items():
+        for (family, assigned), scaled in psi._GRAPH_MEMO.items():
+            if not isinstance(family, tuple):
+                continue  # a graph's recursion, not a vertex factor
+            genus, fixed = family
             factor = strata._vertex_factor(genus, fixed, assigned)
             assert type(factor.value) is Fraction
             assert scaled == 24 ** genus * factor.value
