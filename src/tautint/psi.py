@@ -13,6 +13,11 @@ route of :mod:`tautint.identities` is the engine on ``delta_graph()``, whose
 only non-recursive input is the stratum sum at n <= 1.  Keyed by a vertex's
 (genus, fixed exponents), it runs each vertex factor of
 :mod:`tautint.strata` over the vertex's marks, down to plain psi integrals.
+Each family (a genus, a graph or a vertex) has a memo dict of its own, keyed
+by ``_key``: the exponent multiset as a ``str`` of code points in descending
+order, which the steps slice and count.  A str refers to no other object, so
+the garbage collector does not track it and a filled memo adds nothing to its
+passes; it caches its hash and takes one byte per part below 256.
 A closed-form multinomial evaluation in genus 0 is kept as an independent
 cross-check.
 
@@ -29,7 +34,7 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
-from .arith import Exponents, _as_int, as_exponents, canonical, multinomial
+from .arith import Exponents, _as_int, as_exponents, multinomial
 
 __all__ = [
     "ModuliIndex",
@@ -61,16 +66,27 @@ class ModuliIndex(NamedTuple):
 
 # Every memo of the package by name, strata's too, so one clear_cache empties
 # all.  Plain dicts suffice for concurrent use in CPython: reads and writes of
-# immutable values are atomic, and racing threads only insert equal values.
-# The psi memo maps (genus, descending exponents) to the int N = 24^g * value.
+# immutable values are atomic, racing threads only insert equal values, and a
+# family's memo is added with setdefault, so racing threads fill the same one.
+# The psi memo maps a genus to its family memo, of the ints N = 24^g * value.
 # The graph-recursion memo holds the recursions over a pulled-back class, as
-# ints 24^g * value: a graph's pullbacks (strata._recursive) keyed by (graph,
-# exponents), g its sum of vertex genera, and every vertex factor
-# (strata._factor_value) keyed by ((genus, fixed exponents), exponents).
+# ints 24^g * value: a graph's pullbacks (strata._recursive) under the graph,
+# g its sum of vertex genera, and every vertex factor (strata._factor_value)
+# under (genus, fixed exponents).  A family memo maps _key(exponents) to a value.
 _MEMOS: dict[str, dict] = {}
 _CACHE = _MEMOS["psi"] = {}
 _GRAPH_MEMO = _MEMOS["graph recursion"] = {}
-_BASE = {0: {(0, 0, 0): 1}, 1: {(1,): 1}}  # 24^g times <1>_{0,3} and <psi_1>_{1,1}
+_BASE = {0: {"\0\0\0": 1}, 1: {"\1": 1}}  # 24^g times <1>_{0,3} and <psi_1>_{1,1}, by _key
+
+
+def _key(k: Iterable[int]) -> str:
+    # The memo key of an exponent multiset: its parts as code points, descending.
+    return "".join(map(chr, sorted(k, reverse=True)))
+
+
+def _exponents(key: str) -> Exponents:
+    # The descending exponent tuple that a _key encodes.
+    return tuple(map(ord, key))
 
 
 def clear_cache() -> None:
@@ -133,50 +149,52 @@ def _scaled(genus: int, k: Exponents) -> int:
     # Returns N = 24^genus * value, and 0 on a degree mismatch.
     if sum(k) != 3 * genus - 3 + len(k):
         return 0
-    return _string_dilaton(_CACHE, genus, 2 * genus - 2, _BASE[genus].get, canonical(k))
+    return _string_dilaton(_CACHE, genus, 2 * genus - 2, _BASE[genus].get, _key(k))
 
 
-def _string_dilaton(table: dict, key: object, euler: int,
-                    base: Callable[[Exponents], int | Fraction | None], k: Exponents):
-    # The values of one family, memoized in ``table`` under (key, k): psi
-    # integrals of genus ``key`` (as ints N), pullbacks of the graph ``key``,
-    # or the factors of the vertex ``key`` = (genus, fixed).
+def _string_dilaton(memo: dict, family: object, euler: int,
+                    base: Callable[[str], int | Fraction | None], k: str):
+    # The values of one family, memoized in ``memo[family]`` under their
+    # _key: psi integrals of genus ``family`` (as ints N), pullbacks of the
+    # graph ``family``, or the factors of the vertex ``family`` = (genus, fixed).
     # The steps only add and multiply by ints, so values keep the base's type
     # (an empty string sum is the int 0).  ``euler`` is the family's 2g-2 plus
     # legs; ``base(k)`` is the value where string and dilaton do not apply,
-    # else None.  k is sorted descending.  Pending steps wait on an explicit
-    # stack, so the depth is not bounded by Python's recursion limit.
-    value = table.get((key, k))
-    if value is None and len(k) > _FREE_MARKS:
-        if _fitting_partitions(k, MAX_PSI_COST) > MAX_PSI_COST:
-            raise ValueError(f"recursion over {len(k)} marks is too costly: its memo "
-                             f"would exceed {MAX_PSI_COST} entries")
-    stack = [] if value is not None else [(k, _step(table, key, euler, base, k))]
+    # else None.  k is a _key.  Pending steps wait on an explicit stack, so
+    # the depth is not bounded by Python's recursion limit.
+    value = (memo.get(family) or {}).get(k)
+    if value is not None:
+        return value
+    if len(k) > _FREE_MARKS and _fitting_partitions(_exponents(k), MAX_PSI_COST) > MAX_PSI_COST:
+        raise ValueError(f"recursion over {len(k)} marks is too costly: its memo "
+                         f"would exceed {MAX_PSI_COST} entries")
+    table = memo.setdefault(family, {})  # only now, so a refused call leaves no trace
+    stack = [(k, _step(table, euler, base, k))]
     while stack:
         k, step = stack[-1]
         try:
             needed = step.send(value)
         except StopIteration as done:
             stack.pop()
-            value = table[key, k] = done.value
+            value = table[k] = done.value
         else:
             value = None
-            stack.append((needed, _step(table, key, euler, base, needed)))
+            stack.append((needed, _step(table, euler, base, needed)))
     return value
 
 
-def _step(table: dict, key: object, euler: int, base: Callable, k: Exponents):
-    # One induction step: yields each smaller exponent vector missing from
+def _step(table: dict, euler: int, base: Callable, k: str):
+    # One induction step on a _key: yields each smaller key missing from
     # ``table`` and is sent its value.
     value = base(k)
     if value is not None:
         return value
     rest = k[:-1]
-    if k[-1]:
+    if k[-1] != "\0":
         # Off the base, no zero part means a last exponent of 1 (in genus 1
         # with matched degree: all ones), so the dilaton equation applies:
         # the factor is euler+n counted after forgetting the point.
-        value = table.get((key, rest))
+        value = table.get(rest)
         return (euler - 1 + len(k)) * ((yield rest) if value is None else value)
     # String equation: forget a point with exponent 0 and redistribute one
     # unit of exponent among the remaining points.  Equal parts give equal
@@ -184,10 +202,10 @@ def _step(table: dict, key: object, euler: int, base: Callable, k: Exponents):
     # per run, decremented at its end to stay sorted; the zeros end the walk.
     total = end = 0
     size = len(rest)
-    while end < size and (part := rest[end]):
-        end += (count := rest.count(part))
-        smaller = rest[:end - 1] + (part - 1,) + rest[end:]
-        value = table.get((key, smaller))
+    while end < size and (part := rest[end]) != "\0":
+        end += (count := rest.count(part, end))
+        smaller = rest[:end - 1] + chr(ord(part) - 1) + rest[end:]
+        value = table.get(smaller)
         total += count * ((yield smaller) if value is None else value)
     return total
 

@@ -70,8 +70,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arith import Exponents, _as_ints, _nonnegative, canonical
-from .psi import (_GRAPH_MEMO, _MEMOS, ModuliIndex, UnsupportedGenusError, _scaled,
-                  _string_dilaton, clear_cache)
+from .psi import (_GRAPH_MEMO, _MEMOS, ModuliIndex, UnsupportedGenusError, _exponents, _key,
+                  _scaled, _string_dilaton, clear_cache)
 
 __all__ = [
     "EdgeEnd",
@@ -384,14 +384,6 @@ def _runs(k: Exponents) -> tuple[Exponents, tuple[int, ...]]:
     return values, tuple(map(k.count, values))
 
 
-def _expand(values: Exponents, counts: Iterable[int]) -> Exponents:
-    # Tuple concatenation: for these few short runs, faster than chained repeats.
-    expanded = ()
-    for value, count in zip(values, counts):
-        expanded += (value,) * count
-    return expanded
-
-
 def _sub_multisets(counts: tuple[int, ...], values: Exponents, need: int) -> Iterator[tuple[int, ...]]:
     # The sub-multisets (as counts per value) whose sum of (x - 1) is ``need``.
     # Only the counts of parts above 1 are walked: a 1 adds nothing, so the 1s
@@ -412,23 +404,23 @@ def _sub_multisets(counts: tuple[int, ...], values: Exponents, need: int) -> Ite
 _CHECKED = _MEMOS["graph check"] = {}  # evaluable graph -> (genus, fixed) per vertex
 
 
-def _factor_value(genus: int, fixed: Exponents, assigned: Exponents) -> int:
-    """One vertex's factor, as the int 24^genus * value, for a descending
-    multiset of assigned exponents whose degree matches the vertex.
+def _factor_value(genus: int, fixed: Exponents, assigned: str) -> int:
+    """One vertex's factor, as the int 24^genus * value, for the memo key
+    (``psi._key``) of assigned exponents whose degree matches the vertex.
 
     The fixed points' psi classes, a decoration's too, come from the vertex's
     space without the marks, so the string law runs over the marks alone and
     the dilaton factor counts every special point, down to the inputs with no
     marks or every exponent >= 2.  There the factor is the plain psi integral.
-    Memoized in the graph-recursion memo under ((genus, fixed), assigned).
+    Memoized in the graph-recursion memo, in the family (genus, fixed).
     """
-    value = _GRAPH_MEMO.get(((genus, fixed), assigned))
+    value = (_GRAPH_MEMO.get((genus, fixed)) or {}).get(assigned)
     if value is None:
-        def base(k: Exponents) -> int | None:
+        def base(k: str) -> int | None:
             # A decoration's boundary corrections vanish here: a genus-0
             # bubble holding the decorated point, the node and marks S has
             # dimension |S| - 1, but S brings degree >= 2|S|.
-            return _scaled(genus, k + fixed) if not k or k[-1] > 1 else None
+            return _scaled(genus, _exponents(k) + fixed) if not k or k[-1] > "\1" else None
 
         euler = 2 * genus - 2 + len(fixed)
         value = _string_dilaton(_GRAPH_MEMO, (genus, fixed), euler, base, assigned)
@@ -438,7 +430,7 @@ def _factor_value(genus: int, fixed: Exponents, assigned: Exponents) -> int:
 def _vertex_factor(genus: int, fixed: Exponents, assigned: Exponents) -> VertexFactor:
     space = ModuliIndex(genus, len(fixed) + len(assigned))
     matched = sum(assigned) - len(assigned) == _excess(genus, fixed)
-    value = _factor_value(genus, fixed, canonical(assigned)) if matched else 0
+    value = _factor_value(genus, fixed, _key(assigned)) if matched else 0
     return VertexFactor(space, assigned + fixed, Fraction(value, 24 ** genus))
 
 
@@ -503,10 +495,10 @@ _PULLBACK_CACHE = _MEMOS["pullback"] = {}  # (graph, descending exponents) -> pu
 
 
 def _orbit_cost(marks: int, vertex_count: int, counts: tuple[int, ...]) -> int:
-    # Upper bound on the tuple entries _orbit_sum builds and hashes: each step
-    # handles a multiset of up to ``marks`` exponents.  The first and last
-    # vertex take at most one step per sub-multiset of k; a middle vertex one
-    # per nested pair of them.
+    # Upper bound on the exponents in the memo keys _orbit_sum builds and
+    # hashes: each step handles a multiset of up to ``marks`` exponents.  The
+    # first and last vertex take at most one step per sub-multiset of k; a
+    # middle vertex one per nested pair of them.
     subsets = math.prod(count + 1 for count in counts)
     pairs = math.prod(math.comb(count + 2, 2) for count in counts)
     return marks * (vertex_count * subsets + max(vertex_count - 2, 0) * pairs)
@@ -518,21 +510,23 @@ def _peel(vertices: Sequence[tuple[int, Exponents]], values: Exponents, counts: 
     # the split, of the product of vertex factors: the int 24^G * value, G the
     # sum of the genera.  Vertices are peeled one at a time, and splits that
     # leave the same marks share that remainder's sum.  The caller matches
-    # the total degree, so the last vertex takes every mark left.
+    # the total degree, so the last vertex takes every mark left.  A vertex's
+    # marks are keyed by repeating each value's character by its count.
+    chars = _key(values)
     states = {counts: 1}  # marks left -> weighted sum so far
     for genus, fixed in vertices[:-1]:
         need = _excess(genus, fixed)
         reached: dict[tuple[int, ...], int] = {}
         for left, total in states.items():
             for taken in _sub_multisets(left, values, need):
-                factor = _factor_value(genus, fixed, _expand(values, taken))
+                factor = _factor_value(genus, fixed, "".join(map(operator.mul, chars, taken)))
                 if factor:
                     rest = tuple(map(operator.sub, left, taken))
                     weight = total * math.prod(map(math.comb, left, taken)) * factor
                     reached[rest] = reached.get(rest, 0) + weight
         states = reached
     genus, fixed = vertices[-1]
-    return sum(total * _factor_value(genus, fixed, _expand(values, left))
+    return sum(total * _factor_value(genus, fixed, "".join(map(operator.mul, chars, left)))
                for left, total in states.items())
 
 
@@ -560,10 +554,10 @@ def _recursive(graph: DualGraph, exponents: Iterable[int]) -> Fraction:
     # The memo holds the ints 24^G * value, as _orbit_sum returns them.  A
     # heavy decoration is refused up front, as the steps may never reach the
     # orbit core's refusal: (1,) and (0,) step straight down to k = ().
-    def base(k: Exponents) -> int | None:
-        return _orbit_sum(graph, k) if not k or k[-1] > 1 else None
+    def base(k: str) -> int | None:
+        return _orbit_sum(graph, _exponents(k)) if not k or k[-1] > "\1" else None
 
-    k = canonical(exponents)
+    k = _key(exponents)
     _marked_vertices(graph, k)
     scaled = _string_dilaton(_GRAPH_MEMO, graph, 2 + len(graph.legs), base, k)
     return Fraction(scaled, 24 ** sum(graph.genera))

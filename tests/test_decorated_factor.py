@@ -1,6 +1,6 @@
 """A decorated vertex factor runs the string and dilaton laws over its marks,
-so the bubble correction of its decoration is peeled only at the base inputs;
-and the graph recursion refuses a heavy decoration as the stratum sum does."""
+so no bubble correction of its decoration is ever peeled; and the graph
+recursion refuses a heavy decoration as the stratum sum does."""
 
 from fractions import Fraction
 
@@ -28,19 +28,25 @@ def test_graph_recursion_of_a_heavy_decoration_without_marks():
 
 
 def test_bubble_peel_runs_only_on_exponents_of_at_least_two(monkeypatch):
+    # Stronger than the name: no bubble is peeled at all.  The only peels are
+    # the orbit core's, one per cold orbit sum, over the graph's own vertex.
     peel, peeled = strata._peel, []
 
     def recorded(vertices, values, counts):
-        if vertices[0] == BUBBLE:
-            peeled.append(values)
+        peeled.append((vertices, values))
         return peel(vertices, values, counts)
 
+    graph = gamma_psi_graph()
+    inputs = [k for n in range(1, 11) for k in partitions(n + 1, n)]  # verify's, in its order
     clear_cache()
     monkeypatch.setattr(strata, "_peel", recorded)
     try:
-        for n in range(1, 11):  # verify's partitions, in verify's order
-            for k in partitions(n + 1, n):
-                pullback_integral(gamma_psi_graph(), k)
+        own = strata._vertices(graph)
+        for k in inputs:
+            pullback_integral(graph, k)
     finally:
         clear_cache()
-    assert all(value >= 2 for values in peeled for value in values), peeled
+    assert len(peeled) == len(inputs) > 0
+    assert all(vertices == own for vertices, _ in peeled), peeled
+    bubbles = [values for vertices, values in peeled if vertices[0] == BUBBLE]
+    assert not bubbles and all(value >= 2 for values in bubbles for value in values), bubbles

@@ -561,9 +561,9 @@ class TestIntegerMemos:
                 assert type(value) is Fraction
                 assert value == pullback_delta_closed(n, k)
                 # delta's vertex genera add up to 1
-                assert psi._GRAPH_MEMO[delta_graph(), canonical(k)] == 24 * value
+                assert psi._GRAPH_MEMO[delta_graph()][psi._key(k)] == 24 * value
         assert psi._GRAPH_MEMO
-        assert all(type(value) is int for value in psi._GRAPH_MEMO.values())
+        assert all(type(value) is int for memo in psi._GRAPH_MEMO.values() for value in memo.values())
         assert all(type(value) is Fraction for value in strata._PULLBACK_CACHE.values())
         assert type(psi_integral(ModuliIndex(1, 2), (1, 1))) is Fraction
 
@@ -574,7 +574,9 @@ class TestIntegerMemos:
                 pullback_integral(LEGGED_DECO, k)
         pullback_delta_recursive(1, (2,))
         decorated = 0
-        for (family, assigned), scaled in psi._GRAPH_MEMO.items():
+        factors = [(family, psi._exponents(key), scaled)
+                   for family, memo in psi._GRAPH_MEMO.items() for key, scaled in memo.items()]
+        for family, assigned, scaled in factors:
             if not isinstance(family, tuple):
                 continue  # a graph's recursion, not a vertex factor
             genus, fixed = family
