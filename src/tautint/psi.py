@@ -21,11 +21,14 @@ passes; it caches its hash and takes one byte per part below 256.
 A closed-form multinomial evaluation in genus 0 is kept as an independent
 cross-check.
 
-Inputs are checked at the public edge only: :func:`psi_integral` checks, then
-builds the one ``Fraction`` N/24^g from the check-free int entry ``_scaled``;
-the strata evaluator multiplies those ints directly.  :func:`clear_cache`
-empties every memo of the package, and the engine refuses a call whose memo
-would outgrow ``MAX_PSI_COST`` entries before any work.
+Inputs are checked at the public edge only.  :func:`psi_integral` builds the
+memo key from the caller's exponents, and that is the integer check; only an
+input the key refuses goes through ``as_exponents``, for the named error.  A
+hit returns before the degree test, as every key of a psi family has a matched
+degree; a miss runs the check-free int entry ``_scaled``, and the edge builds
+the one ``Fraction``.  The strata evaluator multiplies those ints directly.
+:func:`clear_cache` empties every memo of the package, and the engine refuses
+a call whose memo would outgrow ``MAX_PSI_COST`` entries before any work.
 """
 
 from __future__ import annotations
@@ -80,8 +83,11 @@ _BASE = {0: {"\0\0\0": 1}, 1: {"\1": 1}}  # 24^g times <1>_{0,3} and <psi_1>_{1,
 
 
 def _key(k: Iterable[int]) -> str:
-    # The memo key of an exponent multiset: its parts as code points, descending.
-    return "".join(map(chr, sorted(k, reverse=True)))
+    # The memo key of an exponent multiset: its parts as code points, in
+    # descending order.  chr takes exactly the ints 0..0x10FFFF, an int-like
+    # through __index__, so building a key checks its parts; the characters
+    # are sorted, so the order is the parts' values whatever their own __lt__.
+    return "".join(sorted(map(chr, k), reverse=True))
 
 
 def _exponents(key: str) -> Exponents:
@@ -106,7 +112,13 @@ def psi_integral(space: ModuliIndex, exponents: Iterable[int]) -> Fraction:
     exponent vector or an input whose memo would exceed ``MAX_PSI_COST``
     entries, and UnsupportedGenusError for genus >= 2.
     """
-    k = as_exponents(exponents)
+    k = tuple(exponents)
+    try:  # the key is the integer check (see _key); chr raises OverflowError past C int
+        key = _key(k)
+    except (TypeError, ValueError, OverflowError):
+        key = ""
+    if not key:  # as_exponents names the error; if none, a part is beyond chr's range
+        k = as_exponents(k)
     genus, marks = space  # one unpacking: each NamedTuple field read is a call
     genus, marks = _as_int(genus, "genus"), _as_int(marks, "marks")
     if 2 * genus - 2 + marks <= 0:  # space.is_stable, on the ints
@@ -115,7 +127,15 @@ def psi_integral(space: ModuliIndex, exponents: Iterable[int]) -> Fraction:
         raise UnsupportedGenusError(f"genus {genus} is outside this engine's exact range (0 or 1)")
     if len(k) != marks:
         raise ValueError(f"expected {marks} exponents, got {len(k)}")
-    return Fraction(_scaled(genus, k), 24 ** genus)
+    if not key and sum(k) == 3 * genus - 3 + marks:
+        # A part beyond chr's range alone fits more than MAX_PSI_COST
+        # partitions in k's diagram: the engine's guard would refuse k.
+        raise _too_costly(marks)
+    # Every key of a psi family has a matched degree, so a hit needs no degree test.
+    value = (_CACHE.get(genus) or {}).get(key)
+    if value is None:
+        value = _scaled(genus, key) if key else 0
+    return Fraction(value) if genus == 0 else Fraction(value, 24)
 
 
 # Largest memo that one engine call fills (psi integral, vertex factor or graph
@@ -144,12 +164,19 @@ def _fitting_partitions(k: Exponents, limit: int) -> int:
     return sum(ways)
 
 
-def _scaled(genus: int, k: Exponents) -> int:
-    # Check-free entry: k holds nonnegative ints on a stable genus-0/1 index.
+def _too_costly(marks: int) -> ValueError:
+    # The engine's refusal of an input whose memo would outgrow MAX_PSI_COST
+    # entries; also raised at the edges for a part beyond chr's range.
+    return ValueError(f"recursion over {marks} marks is too costly: its memo "
+                      f"would exceed {MAX_PSI_COST} entries")
+
+
+def _scaled(genus: int, key: str) -> int:
+    # Check-free entry: the _key of exponents on a stable genus-0/1 index.
     # Returns N = 24^genus * value, and 0 on a degree mismatch.
-    if sum(k) != 3 * genus - 3 + len(k):
+    if sum(map(ord, key)) != 3 * genus - 3 + len(key):
         return 0
-    return _string_dilaton(_CACHE, genus, 2 * genus - 2, _BASE[genus].get, _key(k))
+    return _string_dilaton(_CACHE, genus, 2 * genus - 2, _BASE[genus].get, key)
 
 
 def _string_dilaton(memo: dict, family: object, euler: int,
@@ -166,8 +193,7 @@ def _string_dilaton(memo: dict, family: object, euler: int,
     if value is not None:
         return value
     if len(k) > _FREE_MARKS and _fitting_partitions(_exponents(k), MAX_PSI_COST) > MAX_PSI_COST:
-        raise ValueError(f"recursion over {len(k)} marks is too costly: its memo "
-                         f"would exceed {MAX_PSI_COST} entries")
+        raise _too_costly(len(k))
     table = memo.setdefault(family, {})  # only now, so a refused call leaves no trace
     stack = [(k, _step(table, euler, base, k))]
     while stack:

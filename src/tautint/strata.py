@@ -71,7 +71,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arith import Exponents, _as_ints, _nonnegative, canonical
 from .psi import (_GRAPH_MEMO, _MEMOS, ModuliIndex, UnsupportedGenusError, _exponents, _key,
-                  _scaled, _string_dilaton, clear_cache)
+                  _scaled, _string_dilaton, _too_costly, clear_cache)
 
 __all__ = [
     "EdgeEnd",
@@ -420,7 +420,9 @@ def _factor_value(genus: int, fixed: Exponents, assigned: str) -> int:
             # A decoration's boundary corrections vanish here: a genus-0
             # bubble holding the decorated point, the node and marks S has
             # dimension |S| - 1, but S brings degree >= 2|S|.
-            return _scaled(genus, _exponents(k) + fixed) if not k or k[-1] > "\1" else None
+            if not k or k[-1] > "\1":  # the marks' and the fixed points' parts in one key
+                return _scaled(genus, "".join(sorted(k + _key(fixed), reverse=True)))
+            return None
 
         euler = 2 * genus - 2 + len(fixed)
         value = _string_dilaton(_GRAPH_MEMO, (genus, fixed), euler, base, assigned)
@@ -546,7 +548,7 @@ def _orbit_sum(graph: DualGraph, k: Exponents) -> int:
     return _peel(vertices, values, counts)
 
 
-def _recursive(graph: DualGraph, exponents: Iterable[int]) -> Fraction:
+def _recursive(graph: DualGraph, exponents: Exponents) -> Fraction:
     # The paper's induction on the marks, for an evaluable graph with L legs:
     # the string law P(k+(0,)) = sum_j P(k-e_j) and the dilaton law
     # P(k+(1,)) = (2+L+n) P(k), down to the stratum sum once every exponent
@@ -557,7 +559,10 @@ def _recursive(graph: DualGraph, exponents: Iterable[int]) -> Fraction:
     def base(k: str) -> int | None:
         return _orbit_sum(graph, _exponents(k)) if not k or k[-1] > "\1" else None
 
-    k = _key(exponents)
+    try:
+        k = _key(exponents)
+    except ValueError:  # a part beyond chr's range, refused as psi_integral refuses it
+        raise _too_costly(len(exponents)) from None
     _marked_vertices(graph, k)
     scaled = _string_dilaton(_GRAPH_MEMO, graph, 2 + len(graph.legs), base, k)
     return Fraction(scaled, 24 ** sum(graph.genera))
