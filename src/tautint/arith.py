@@ -67,10 +67,11 @@ def as_exponents(values: Iterable[int]) -> Exponents:
 
 
 def canonical(exponents: Iterable[int]) -> Exponents:
-    """Sorted-descending form of an exponent vector; the memo key everywhere.
+    """Sorted-descending form of an exponent vector.
 
     Symmetric integrals only depend on the multiset of exponents, so sorting
-    collapses compositions to partitions.
+    collapses compositions to partitions.  The memos key a multiset by
+    ``psi._key``, the same order written as a str of code points.
     """
     return tuple(sorted(exponents, reverse=True))
 

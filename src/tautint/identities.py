@@ -23,8 +23,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple
 
-from .arith import (Exponents, _as_int, _multinomial, as_exponents, bernoulli, canonical,
-                    partitions)
+from .arith import Exponents, _as_int, _multinomial, as_exponents, bernoulli, partitions
 # The delta route's memo, for tracing and tests.  Every pullback route fills it
 # too, with its vertex factors.
 from .psi import _GRAPH_MEMO as _DELTA_MEMO
@@ -122,7 +121,7 @@ def lambda2_expression(method: str) -> StrataExpression:
 def lambda2_integral(n: int, exponents: Iterable[int], method: str = "eq5") -> Fraction:
     """Integrate the psi monomial against the strata form of the Hodge class."""
     k = _check_partition(n, exponents)
-    return _expression_sum(lambda2_expression(method), canonical(k))
+    return _expression_sum(lambda2_expression(method), k)
 
 
 def _check_genus(g: int) -> int:

@@ -108,9 +108,10 @@ def psi_integral(space: ModuliIndex, exponents: Iterable[int]) -> Fraction:
     dimension 3g-3+n; a degree mismatch is a value, not an error, so stratum
     evaluators can silently discard non-contributing terms.
 
-    Raises ValueError for a non-integer or unstable index, a wrong-length
-    exponent vector or an input whose memo would exceed ``MAX_PSI_COST``
-    entries, and UnsupportedGenusError for genus >= 2.
+    Raises ValueError for a space that is not a (genus, marks) pair, a
+    non-integer or unstable index, a wrong-length exponent vector or an
+    input whose memo would exceed ``MAX_PSI_COST`` entries, and
+    UnsupportedGenusError for genus >= 2.
     """
     k = tuple(exponents)
     try:  # the key is the integer check (see _key); chr raises OverflowError past C int
@@ -119,7 +120,10 @@ def psi_integral(space: ModuliIndex, exponents: Iterable[int]) -> Fraction:
         key = ""
     if not key:  # as_exponents names the error; if none, a part is beyond chr's range
         k = as_exponents(k)
-    genus, marks = space  # one unpacking: each NamedTuple field read is a call
+    try:
+        genus, marks = space  # one unpacking: each NamedTuple field read is a call
+    except (TypeError, ValueError):
+        raise ValueError(f"space must be a (genus, marks) pair, got {space!r}") from None
     genus, marks = _as_int(genus, "genus"), _as_int(marks, "marks")
     if 2 * genus - 2 + marks <= 0:  # space.is_stable, on the ints
         raise ValueError(f"unstable moduli index (genus={genus}, marks={marks})")

@@ -29,9 +29,14 @@ boundary divisors.
 A graph builds its per-vertex fixed exponents once, on construction, so
 ``fixed_exponents`` and ``valence`` answer without a scan.  A graph is
 checked once, memoizing each vertex's genus and fixed exponents, and public
-evaluators check the exponents once per call.  The orbit core itself refuses
-the two inputs it cannot compute, before any work: marks on a vertex whose
-decorations total >= 2, and an orbit sum whose estimated cost exceeds
+evaluators check the exponents once per call.  The pullback edges build the
+memo key of the marks (``psi._key``) once per call, and that is the integer
+check; the pullback memo is keyed ``(graph, key)``, and the same key goes on
+to the orbit core, which splits its characters over the vertices.  An input
+the key refuses goes to one refusal, which names the error in the public
+order, else answers a part beyond ``chr``'s range.  The orbit core itself
+refuses the two inputs it cannot compute, before any work: marks on a vertex
+whose decorations total >= 2, and an orbit sum whose estimated cost exceeds
 ``MAX_ORBIT_COST``.  So the pullback memo in front of it runs no check, and
 every route refuses alike.  Vertex factors call the psi engine's check-free
 recursion, as a valid graph's vertices are stable.
@@ -69,9 +74,9 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .arith import Exponents, _as_ints, _nonnegative, canonical
-from .psi import (_GRAPH_MEMO, _MEMOS, ModuliIndex, UnsupportedGenusError, _exponents, _key,
-                  _scaled, _string_dilaton, _too_costly, clear_cache)
+from .arith import Exponents, _as_ints, _nonnegative
+from .psi import (_GRAPH_MEMO, _MEMOS, ModuliIndex, UnsupportedGenusError, _key, _scaled,
+                  _string_dilaton, _too_costly, clear_cache)
 
 __all__ = [
     "EdgeEnd",
@@ -159,21 +164,15 @@ class DualGraph:
 
     def __init__(self, genera: tuple[int, ...], edges: tuple[Edge, ...] = (),
                  legs: tuple[Leg, ...] = ()) -> None:
-        object.__setattr__(self, "genera", genera)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "legs", legs)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "genera", _as_ints(self.genera, "vertex genera"))
-        edges = []
-        for raw in self.edges:
+        object.__setattr__(self, "genera", _as_ints(genera, "vertex genera"))
+        normalized = []
+        for raw in edges:
             a, b = _shaped(raw, (2,), "an edge is a pair of edge ends")
             end_a, end_b = _as_end(a), _as_end(b)
-            edges.append(Edge(end_a, end_b) if end_a <= end_b else Edge(end_b, end_a))
-        object.__setattr__(self, "edges", tuple(sorted(edges)))
+            normalized.append(Edge(end_a, end_b) if end_a <= end_b else Edge(end_b, end_a))
+        object.__setattr__(self, "edges", tuple(sorted(normalized)))
         shaped = (_shaped(leg, (2, 3), "a leg is (label, vertex) or (label, vertex, psi)")
-                  for leg in self.legs)
+                  for leg in legs)
         legs = tuple(sorted(Leg(_label(label), *_as_ints(rest, f"leg {label!r} vertex and psi"))
                             for label, *rest in shaped))
         object.__setattr__(self, "legs", legs)
@@ -258,8 +257,7 @@ def validate_graph(graph: DualGraph) -> ValidationReport:
     problems: list[Violation] = []
     nv = graph.vertex_count
     if nv == 0:
-        problems.append(Violation("empty", "graph has no vertices"))
-        return ValidationReport(tuple(problems))
+        return ValidationReport((Violation("empty", "graph has no vertices"),))
 
     for i, g in enumerate(graph.genera):
         if g < 0:
@@ -477,14 +475,9 @@ def stratum_terms(graph: DualGraph, exponents: Iterable[int] = ()) -> Iterator[S
     vertices = _marked_vertices(graph, k)
     _nonnegative(k)
     for assignment in itertools.product(range(len(vertices)), repeat=len(k)):
-        factors = []
-        value = Fraction(1)
-        for v, (genus, fixed) in enumerate(vertices):
-            assigned = tuple(k[i] for i, home in enumerate(assignment) if home == v)
-            factor = _vertex_factor(genus, fixed, assigned)
-            factors.append(factor)
-            value *= factor.value
-        yield StratumTerm(assignment, tuple(factors), value)
+        factors = tuple(_vertex_factor(genus, fixed, tuple(x for x, home in zip(k, assignment) if home == v))
+                        for v, (genus, fixed) in enumerate(vertices))
+        yield StratumTerm(assignment, factors, math.prod(factor.value for factor in factors))
 
 
 # Largest _orbit_cost that pullback_integral accepts.  The estimate does not track time: with
@@ -493,7 +486,7 @@ def stratum_terms(graph: DualGraph, exponents: Iterable[int] = ()) -> Iterator[S
 # and more, as tools/check/orbit_cost.py measures them.
 MAX_ORBIT_COST = 50_000_000
 
-_PULLBACK_CACHE = _MEMOS["pullback"] = {}  # (graph, descending exponents) -> public value
+_PULLBACK_CACHE = _MEMOS["pullback"] = {}  # (graph, psi._key of the marks) -> public value
 
 
 def _orbit_cost(marks: int, vertex_count: int, counts: tuple[int, ...]) -> int:
@@ -506,15 +499,16 @@ def _orbit_cost(marks: int, vertex_count: int, counts: tuple[int, ...]) -> int:
     return marks * (vertex_count * subsets + max(vertex_count - 2, 0) * pairs)
 
 
-def _peel(vertices: Sequence[tuple[int, Exponents]], values: Exponents, counts: tuple[int, ...]) -> int:
-    # Sum over the ways each distinct exponent value's multiplicity splits
-    # over the (genus, fixed) vertices, weighted by the mark assignments in
-    # the split, of the product of vertex factors: the int 24^G * value, G the
-    # sum of the genera.  Vertices are peeled one at a time, and splits that
-    # leave the same marks share that remainder's sum.  The caller matches
-    # the total degree, so the last vertex takes every mark left.  A vertex's
-    # marks are keyed by repeating each value's character by its count.
-    chars = _key(values)
+def _peel(vertices: Sequence[tuple[int, Exponents]], chars: Sequence[str], counts: tuple[int, ...]) -> int:
+    # Sum over the ways each distinct exponent's multiplicity splits over the
+    # (genus, fixed) vertices, weighted by the mark assignments in the split,
+    # of the product of vertex factors: the int 24^G * value, G the sum of
+    # the genera.  ``chars`` holds the distinct exponents as the characters
+    # of their memo key, descending.  Vertices are peeled one at a time, and
+    # splits that leave the same marks share that remainder's sum.  The
+    # caller matches the total degree, so the last vertex takes every mark
+    # left.  A vertex's marks are keyed by repeating each character by its count.
+    values = tuple(map(ord, chars))
     states = {counts: 1}  # marks left -> weighted sum so far
     for genus, fixed in vertices[:-1]:
         need = _excess(genus, fixed)
@@ -532,11 +526,12 @@ def _peel(vertices: Sequence[tuple[int, Exponents]], values: Exponents, counts: 
                for left, total in states.items())
 
 
-def _orbit_sum(graph: DualGraph, k: Exponents) -> int:
-    # The stratum sum over orbits of mark assignments, as the int 24^G * value.
+def _orbit_sum(graph: DualGraph, k: str) -> int:
+    # The stratum sum over orbits of mark assignments, as the int 24^G * value,
+    # for the memo key k (psi._key) of the marks' exponents.
     vertices = _marked_vertices(graph, k)
     # The vertex conditions add up to sum(k) = 3 + n + legs - edges - decorations.
-    if sum(k) - len(k) != sum(_excess(g, fixed) for g, fixed in vertices):
+    if sum(map(ord, k)) - len(k) != sum(_excess(g, fixed) for g, fixed in vertices):
         return 0
     values, counts = _runs(k)
     cost = _orbit_cost(len(k), len(vertices), counts)
@@ -557,7 +552,7 @@ def _recursive(graph: DualGraph, exponents: Exponents) -> Fraction:
     # heavy decoration is refused up front, as the steps may never reach the
     # orbit core's refusal: (1,) and (0,) step straight down to k = ().
     def base(k: str) -> int | None:
-        return _orbit_sum(graph, _exponents(k)) if not k or k[-1] > "\1" else None
+        return _orbit_sum(graph, k) if not k or k[-1] > "\1" else None
 
     try:
         k = _key(exponents)
@@ -568,6 +563,20 @@ def _recursive(graph: DualGraph, exponents: Exponents) -> Fraction:
     return Fraction(scaled, 24 ** sum(graph.genera))
 
 
+def _refused(graph: DualGraph, exponents: Iterable[int]) -> Fraction:
+    # Exponents that psi._key refused: the public edges' errors, in their
+    # order (a non-integer, a bad graph, a heavy decoration, a negative part).
+    # If none applies, a part is beyond chr's range: 0 at a mismatched degree,
+    # else refused as psi_integral refuses such a part, whose one-row diagram
+    # alone fits more than MAX_PSI_COST partitions.
+    k = _as_ints(exponents)
+    vertices = _marked_vertices(graph, k)
+    _nonnegative(k)
+    if sum(k) - len(k) != sum(_excess(g, fixed) for g, fixed in vertices):
+        return Fraction(0)
+    raise _too_costly(len(k))
+
+
 def pullback_integral(graph: DualGraph, exponents: Iterable[int] = ()) -> Fraction:
     """Integrate a psi monomial against the forgetful pullback of the graph's class.
 
@@ -576,28 +585,26 @@ def pullback_integral(graph: DualGraph, exponents: Iterable[int] = ()) -> Fracti
     result is the exact sum over all mark distributions of per-vertex
     integrals, summed by orbits of equal exponent multisets per vertex; a
     monomial of the wrong total degree gives 0 at once.  Raises ValueError
-    when the orbit sum's estimated cost exceeds ``MAX_ORBIT_COST``.
+    when the orbit sum's estimated cost exceeds ``MAX_ORBIT_COST``, or for a
+    part above 0x10FFFF at a matched degree ("too costly" either way).
     """
-    k = _as_ints(exponents)
-    key = canonical(k)
+    k = tuple(exponents)
+    try:  # the memo key is the integer check, as in psi_integral
+        key = _key(k)
+    except (TypeError, ValueError, OverflowError):  # chr raises OverflowError past C int
+        return _refused(graph, k)
     # Only checked inputs are cached, and the checks see only the graph and
-    # the multiset of k, so a hit needs no check: it is the core's probe inlined.
+    # the multiset of k, so a hit needs no check.
     cached = _PULLBACK_CACHE.get((graph, key))
     if cached is None:
-        if key and key[-1] < 0:
-            _marked_vertices(graph, k)  # a bad graph or decoration is named before k
-            _nonnegative(k)
         cached = _pullback(graph, key)
     return cached
 
 
-def _pullback(graph: DualGraph, k: Exponents) -> Fraction:
-    # The memoized orbit sum: k holds nonnegative ints, sorted descending.
-    key = (graph, k)
-    cached = _PULLBACK_CACHE.get(key)
-    if cached is None:
-        cached = _PULLBACK_CACHE[key] = Fraction(_orbit_sum(graph, k), 24 ** sum(graph.genera))
-    return cached
+def _pullback(graph: DualGraph, key: str) -> Fraction:
+    # A pullback memo miss: the orbit sum, stored as the public value.
+    value = _PULLBACK_CACHE[graph, key] = Fraction(_orbit_sum(graph, key), 24 ** sum(graph.genera))
+    return value
 
 
 class _ExpressionFields(NamedTuple):
@@ -623,15 +630,22 @@ class StrataExpression(_ExpressionFields):
 def expression_integral(expression: StrataExpression, exponents: Iterable[int] = ()) -> Fraction:
     """Pullback integral of a strata expression: the pullback distributes
     over the linear combination."""
-    return _expression_sum(expression, canonical(_nonnegative(exponents)))
+    return _expression_sum(expression, _nonnegative(exponents))
 
 
 def _expression_sum(expression: StrataExpression, k: Exponents) -> Fraction:
-    # Check-free: k holds nonnegative ints, sorted descending.  The terms add
-    # up as ints over one common denominator, reduced by the one Fraction.
+    # Check-free: k holds nonnegative ints.  Each term's pullback is probed
+    # under one memo key, and the terms add up as ints over one common
+    # denominator, reduced by the one Fraction.
+    try:
+        key = _key(k)
+    except (ValueError, OverflowError):  # a part beyond chr's range: each term is 0 or refused
+        return sum((_refused(graph, k) for _, graph in expression.terms), Fraction(0))
     numerator, denominator = 0, 1
     for coefficient, graph in expression.terms:
-        value = _pullback(graph, k)
+        value = _PULLBACK_CACHE.get((graph, key))
+        if value is None:
+            value = _pullback(graph, key)
         scale = coefficient.denominator * value.denominator
         numerator = numerator * scale + coefficient.numerator * value.numerator * denominator
         denominator *= scale

@@ -88,6 +88,14 @@ ERRORS = {
 }
 
 
+@pytest.mark.parametrize("space", [(0, 3, 1), (0,), 5], ids=["triple", "single", "int"])
+def test_space_that_is_not_a_pair_is_named(space):
+    with pytest.raises(ValueError) as caught:
+        psi_integral(space, (0, 0, 0))
+    assert str(caught.value) == f"space must be a (genus, marks) pair, got {space!r}"
+    assert type(caught.value) is ValueError
+
+
 @pytest.mark.parametrize("case", VALUES)
 @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
 def test_values_as_before(case, cold):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tautint import psi, strata
-from tautint.arith import canonical, partitions
+from tautint.arith import partitions
 from tautint.identities import pullback_delta_closed, pullback_delta_recursive
 from tautint.psi import ModuliIndex, UnsupportedGenusError, psi_integral
 from tautint.strata import (
@@ -170,7 +170,9 @@ class TestPullbackIntegral:
         strata.clear_cache()
         assert pullback_integral(delta_graph(), (Exponent(2), True)) == Fraction(1, 8)
         assert pullback_integral(delta_graph(), iter([True, 2, True])) == Fraction(1, 2)
-        assert all(type(part) is int for _, k in strata._PULLBACK_CACHE for part in k)
+        # keyed by psi._key of the plain values: (2, 1) and (2, 1, 1)
+        assert list(strata._PULLBACK_CACHE) == [(delta_graph(), "\x02\x01"), (delta_graph(), "\x02\x01\x01")]
+        assert all(type(key) is str for _, key in strata._PULLBACK_CACHE)
 
     @given(st.permutations([3, 1, 1, 0]))
     def test_relabeling_invariance(self, k):
@@ -386,7 +388,7 @@ class TestOrbitSum:
         checked = 0
         for n in range(1, 9):
             for k in degree_matched(graph, n, 4):
-                k = canonical(k)
+                k = psi._key(k)
                 psi.clear_cache()
                 calls = 0
                 strata._orbit_sum(graph, k)

@@ -1,6 +1,6 @@
 """Time the public edges of the psi engine and of the pullback memo, per call.
 
-Prints the microseconds per call of four statements, each the best and the
+Prints the microseconds per call of five statements, each the best and the
 median of ``--repeat`` timeit runs in one process:
 
 - ``psi_integral`` hit: a genus-0 monomial at 27 marks, shuffled, already in
@@ -9,6 +9,8 @@ median of ``--repeat`` timeit runs in one process:
   removed first, so the engine takes one string step over memoized keys (the
   statement includes that one ``dict.pop``);
 - ``pullback_integral`` hit: ``delta_graph()`` at 10 marks, shuffled;
+- ``lambda2_integral`` hit: the eq5 form at the same 10 marks, both of its
+  graphs' pullbacks already in the memo;
 - ``psi._key`` alone, on the 27 exponents of the first two.
 
 perfbench times whole workloads; this separates the cost of the edge itself.
@@ -23,6 +25,7 @@ import statistics
 import timeit
 
 from tautint import psi
+from tautint.identities import lambda2_integral
 from tautint.psi import ModuliIndex, psi_integral
 from tautint.strata import delta_graph, pullback_integral
 
@@ -55,13 +58,16 @@ def main() -> None:
     psi.clear_cache()
     psi_integral(space, k)
     pullback_integral(graph, marks)
+    lambda2_integral(len(marks), marks)
     names = {"psi_integral": psi_integral, "pullback_integral": pullback_integral,
+             "lambda2_integral": lambda2_integral,
              "_key": psi._key, "space": space, "k": k, "graph": graph, "marks": marks,
              "table": psi._CACHE[0], "key": psi._key(k)}
     cases = {
         "psi_integral hit, 27 marks": "psi_integral(space, k)",
         "psi_integral shallow miss": "table.pop(key); psi_integral(space, k)",
         "pullback_integral hit, 10 marks": "pullback_integral(graph, marks)",
+        "lambda2_integral hit, 10 marks": "lambda2_integral(10, marks)",
         "_key, 27 parts": "_key(k)",
     }
     print(f"{'statement':<34}{'best us':>9}{'median us':>11}")

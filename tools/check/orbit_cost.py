@@ -18,7 +18,7 @@ import subprocess
 import sys
 import time
 
-from tautint import strata
+from tautint import psi, strata
 from tautint.strata import DualGraph, delta_graph, gamma_psi_graph
 
 
@@ -54,7 +54,7 @@ def measure(shape: int) -> None:
     _, graph, counts = SHAPES[shape]
     vertices = strata._vertices(graph)
     started = time.perf_counter()
-    strata._peel(vertices, VALUES, counts)
+    strata._peel(vertices, psi._key(VALUES), counts)
     seconds = time.perf_counter() - started
     print(f"{seconds:.2f} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f}")
 
