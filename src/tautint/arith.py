@@ -129,7 +129,9 @@ def _descending_parts(remaining: int, slots: int, bound: int) -> Iterator[Expone
             yield (first,) + rest
 
 
-# Bernoulli numbers, B_1 = -1/2 convention; extended on demand.
+# Bernoulli numbers, B_1 = -1/2 convention; extended on demand.  The one
+# module memo outside psi._MEMOS, so clear_cache keeps it: it holds constants
+# that only grow, and clearing it would drop the seed B_0 the recurrence needs.
 _BERNOULLI: list[Fraction] = [Fraction(1)]
 
 

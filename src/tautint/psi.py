@@ -27,7 +27,7 @@ input the key refuses goes through ``as_exponents``, for the named error.  A
 hit returns before the degree test, as every key of a psi family has a matched
 degree; a miss runs the check-free int entry ``_scaled``, and the edge builds
 the one ``Fraction``.  The strata evaluator multiplies those ints directly.
-:func:`clear_cache` empties every memo of the package, and the engine refuses
+:func:`clear_cache` empties every memo in ``_MEMOS``, and the engine refuses
 a call whose memo would outgrow ``MAX_PSI_COST`` entries before any work.
 """
 
@@ -68,9 +68,10 @@ class ModuliIndex(NamedTuple):
 
 
 # Every memo of the package by name, strata's too, so one clear_cache empties
-# all.  Plain dicts suffice for concurrent use in CPython: reads and writes of
-# immutable values are atomic, racing threads only insert equal values, and a
-# family's memo is added with setdefault, so racing threads fill the same one.
+# all but arith's Bernoulli table (see there).  Plain dicts suffice for
+# concurrent use in CPython: reads and writes of immutable values are atomic,
+# racing threads only insert equal values, and a family's memo is added with
+# setdefault, so racing threads fill the same one.
 # The psi memo maps a genus to its family memo, of the ints N = 24^g * value.
 # The graph-recursion memo holds the recursions over a pulled-back class, as
 # ints 24^g * value: a graph's pullbacks (strata._recursive) under the graph,
@@ -96,7 +97,8 @@ def _exponents(key: str) -> Exponents:
 
 
 def clear_cache() -> None:
-    """Drop every memo of the package (mainly for tests and benchmarks)."""
+    """Drop every memo registered in ``_MEMOS`` (mainly for tests and
+    benchmarks); ``arith``'s table of Bernoulli numbers is kept."""
     for memo in _MEMOS.values():
         memo.clear()
 

@@ -32,7 +32,9 @@ checked once, memoizing each vertex's genus and fixed exponents, and public
 evaluators check the exponents once per call.  The pullback edges build the
 memo key of the marks (``psi._key``) once per call, and that is the integer
 check; the pullback memo is keyed ``(graph, key)``, and the same key goes on
-to the orbit core, which splits its characters over the vertices.  An input
+to the orbit core, which splits its runs over the vertices: its distinct
+characters, descending, always ending in the 1 run and the 0 run, of count 0
+where the key has none, so every split has one count per run.  An input
 the key refuses goes to one refusal, which names the error in the public
 order, else answers a part beyond ``chr``'s range.  The orbit core itself
 refuses the two inputs it cannot compute, before any work: marks on a vertex
@@ -40,12 +42,12 @@ whose decorations total >= 2, and an orbit sum whose estimated cost exceeds
 ``MAX_ORBIT_COST``.  So the pullback memo in front of it runs no check, and
 every route refuses alike.  Vertex factors call the psi engine's check-free
 recursion, as a valid graph's vertices are stable.
-:func:`clear_cache` is ``psi.clear_cache``, which empties every memo.  The
-layer runs on ints: a vertex factor is 24^g times its value and an orbit sum
-24^G times its value, G the sum of the vertex genera.  The one ``Fraction``
-is built at the edge: for the pullback memo, over an expression's common
-denominator, by the graph engine's caller for the memo of ints it fills, and
-per vertex for :class:`VertexFactor`.
+:func:`clear_cache` is ``psi.clear_cache``, which empties every memo in
+``psi._MEMOS``.  The layer runs on ints: a vertex factor is 24^g times its
+value and an orbit sum 24^G times its value, G the sum of the vertex genera.
+The one ``Fraction`` is built at the edge: for the pullback memo, over an
+expression's common denominator, by the graph engine's caller for the memo of
+ints it fills, and per vertex for :class:`VertexFactor`.
 
 Graph data (genera, vertices and psi of edge ends and legs) is taken at its
 integer value; a float, str or Fraction raises ValueError, never truncated.
@@ -376,27 +378,24 @@ def _excess(genus: int, fixed: Exponents) -> int:
     return 3 * genus - 3 + len(fixed) - sum(fixed)
 
 
-def _runs(k: Exponents) -> tuple[Exponents, tuple[int, ...]]:
-    # A descending multiset as its distinct values and their multiplicities.
-    values = tuple(dict.fromkeys(k))
-    return values, tuple(map(k.count, values))
+def _runs(k: str) -> tuple[str, tuple[int, ...]]:
+    # A descending memo key as its distinct characters and their counts,
+    # always ending in the 1 run and the 0 run (count 0 where k has none).
+    chars = "".join(dict.fromkeys(k.rstrip("\1\0"))) + "\1\0"
+    return chars, tuple(map(k.count, chars))
 
 
-def _sub_multisets(counts: tuple[int, ...], values: Exponents, need: int) -> Iterator[tuple[int, ...]]:
-    # The sub-multisets (as counts per value) whose sum of (x - 1) is ``need``.
-    # Only the counts of parts above 1 are walked: a 1 adds nothing, so the 1s
-    # range freely, and a 0 takes one away, so the 0s taken are fixed by the
-    # rest.  Values descend, so the 1s and 0s are the last runs.
-    big = sum(x > 1 for x in values)
-    weights = [x - 1 for x in values[:big]]
-    ones = [(count,) for count in range(counts[big] + 1)] if 1 in values else [()]
-    zeros = counts[-1] if 0 in values else 0
-    for taken in itertools.product(*(range(count + 1) for count in counts[:big])):
+def _sub_multisets(counts: tuple[int, ...], weights: Sequence[int], need: int) -> Iterator[tuple[int, ...]]:
+    # The sub-multisets (as counts per run) whose sum of (x - 1) is ``need``,
+    # for runs laid out as _runs lays them, ``weights`` the x - 1 of each run
+    # above 1.  Only those runs are walked: a 1 adds nothing, so the 1s range
+    # freely, and a 0 takes one away, so the 0s taken are fixed by the rest.
+    *big, ones, zeros = counts
+    for taken in itertools.product(*(range(count + 1) for count in big)):
         drop = sum(map(operator.mul, weights, taken)) - need
         if 0 <= drop <= zeros:
-            dropped = (drop,) if zeros else ()
-            for one in ones:
-                yield taken + one + dropped
+            for one in range(ones + 1):
+                yield taken + (one, drop)
 
 
 _CHECKED = _MEMOS["graph check"] = {}  # evaluable graph -> (genus, fixed) per vertex
@@ -503,18 +502,19 @@ def _peel(vertices: Sequence[tuple[int, Exponents]], chars: Sequence[str], count
     # Sum over the ways each distinct exponent's multiplicity splits over the
     # (genus, fixed) vertices, weighted by the mark assignments in the split,
     # of the product of vertex factors: the int 24^G * value, G the sum of
-    # the genera.  ``chars`` holds the distinct exponents as the characters
-    # of their memo key, descending.  Vertices are peeled one at a time, and
-    # splits that leave the same marks share that remainder's sum.  The
-    # caller matches the total degree, so the last vertex takes every mark
-    # left.  A vertex's marks are keyed by repeating each character by its count.
-    values = tuple(map(ord, chars))
+    # the genera.  ``chars`` and ``counts`` are the runs of the marks' memo
+    # key as _runs lays them out, ending in the 1 run and the 0 run.
+    # Vertices are peeled one at a time, and splits that leave the same marks
+    # share that remainder's sum.  The caller matches the total degree, so
+    # the last vertex takes every mark left.  A vertex's marks are keyed by
+    # repeating each character by its count.
+    weights = [ord(c) - 1 for c in chars[:-2]]
     states = {counts: 1}  # marks left -> weighted sum so far
     for genus, fixed in vertices[:-1]:
         need = _excess(genus, fixed)
         reached: dict[tuple[int, ...], int] = {}
         for left, total in states.items():
-            for taken in _sub_multisets(left, values, need):
+            for taken in _sub_multisets(left, weights, need):
                 factor = _factor_value(genus, fixed, "".join(map(operator.mul, chars, taken)))
                 if factor:
                     rest = tuple(map(operator.sub, left, taken))
@@ -533,14 +533,14 @@ def _orbit_sum(graph: DualGraph, k: str) -> int:
     # The vertex conditions add up to sum(k) = 3 + n + legs - edges - decorations.
     if sum(map(ord, k)) - len(k) != sum(_excess(g, fixed) for g, fixed in vertices):
         return 0
-    values, counts = _runs(k)
+    chars, counts = _runs(k)
     cost = _orbit_cost(len(k), len(vertices), counts)
     if cost > MAX_ORBIT_COST:
         raise ValueError(
             f"pullback over {len(vertices)} vertices with {len(k)} marks is too "
             f"costly: estimated cost {cost} exceeds the limit {MAX_ORBIT_COST}"
         )
-    return _peel(vertices, values, counts)
+    return _peel(vertices, chars, counts)
 
 
 def _recursive(graph: DualGraph, exponents: Exponents) -> Fraction:

@@ -31,10 +31,11 @@ def test_counts_code_comment_and_docstring_lines():
     assert src_lines.count(SOURCE) == (6, 1, 5)
 
 
-def test_totals_add_the_modules(capsys):
-    src_lines.main([str(_PATH.parent)])
+def test_totals_add_the_modules(capsys, tmp_path):
+    (tmp_path / "module.py").write_text(SOURCE, encoding="utf-8")
+    src_lines.main([str(tmp_path)])
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["module", "code", "comment", "docstring"]
     rows = [line.split() for line in lines[1:]]
-    assert rows[-1][0] == "total" and [row[0] for row in rows[:-1]] == ["src_lines.py"]
-    assert rows[-1][1:] == rows[0][1:]
+    assert rows[-1][0] == "total" and [row[0] for row in rows[:-1]] == ["module.py"]
+    assert rows[-1][1:] == rows[0][1:] == ["6", "1", "5"]

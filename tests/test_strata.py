@@ -1,5 +1,6 @@
 """Tests for dual graphs, validation, and stratum-pullback evaluation."""
 
+import importlib.util
 import itertools
 import operator
 import os
@@ -9,6 +10,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -633,44 +635,81 @@ def sub_multisets_by_filter(counts, values, need):
 
 
 class TestSubMultisets:
-    """The peel's walk over degree-matched splits, against its definition."""
+    """The peel's walk over degree-matched splits, against its definition.
+
+    Runs are laid out as ``strata._runs`` lays them: the values above 1,
+    descending, then the 1 run and the 0 run, either of which may be empty."""
 
     @staticmethod
     def walked(counts, values, need):
-        walked = list(strata._sub_multisets(counts, values, need))
+        assert values[-2:] == (1, 0) and all(x > 1 for x in values[:-2]), values
+        walked = list(strata._sub_multisets(counts, [x - 1 for x in values[:-2]], need))
         assert len(walked) == len(set(walked)), (counts, values, need)
         return sorted(walked)
 
     def test_seeded_random_runs_match_the_filtered_product(self):
         rng = random.Random(2024)
         for _ in range(3000):
-            values = tuple(sorted(rng.sample(range(7), rng.randint(1, 5)), reverse=True))
-            counts = tuple(rng.randint(1, 5) for _ in values)
+            values = tuple(sorted(rng.sample(range(2, 7), rng.randint(0, 5)), reverse=True)) + (1, 0)
+            counts = tuple(rng.randint(0, 5) for _ in values)
             need = rng.randint(-6, 8)
             assert self.walked(counts, values, need) == sub_multisets_by_filter(counts, values, need)
 
     @pytest.mark.parametrize("values, counts", [
-        ((), ()),                         # the empty multiset
-        ((4, 2, 1), (2, 3, 1)),           # no 0 run
-        ((3, 2, 0), (2, 1, 4)),           # no 1 run
-        ((0,), (5,)),                     # only 0s
-        ((1,), (3,)),                     # only 1s
+        ((1, 0), (0, 0)),                 # the empty multiset
+        ((4, 2, 1, 0), (2, 3, 1, 0)),     # no 0s
+        ((3, 2, 1, 0), (2, 1, 0, 4)),     # no 1s
+        ((1, 0), (0, 5)),                 # only 0s
+        ((1, 0), (3, 0)),                 # only 1s
         ((1, 0), (2, 3)),                 # 1s and 0s
         ((5, 3, 2, 1, 0), (1, 2, 2, 3, 4)),
     ])
     def test_edges_match_the_filtered_product(self, values, counts):
         weights = [x - 1 for x in values]
         top = sum(w * c for w, c in zip(weights, counts) if w > 0)
-        bottom = -counts[-1] if values[-1:] == (0,) else 0
+        bottom = -counts[-1]
         for need in range(bottom - 2, top + 3):  # out of reach below and above, too
             expected = sub_multisets_by_filter(counts, values, need)
             assert self.walked(counts, values, need) == expected, need
             assert bool(expected) == (bottom <= need <= top), need
 
     def test_empty_multiset_yields_the_empty_split_iff_nothing_is_needed(self):
-        assert list(strata._sub_multisets((), (), 0)) == [()]
-        assert list(strata._sub_multisets((), (), 1)) == []
-        assert list(strata._sub_multisets((), (), -1)) == []
+        assert list(strata._sub_multisets((0, 0), [], 0)) == [(0, 0)]
+        assert list(strata._sub_multisets((0, 0), [], 1)) == []
+        assert list(strata._sub_multisets((0, 0), [], -1)) == []
+
+
+def load_orbit_cost():
+    path = Path(__file__).resolve().parents[1] / "tools" / "check" / "orbit_cost.py"
+    spec = importlib.util.spec_from_file_location("orbit_cost", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_split_has_one_count_per_run(monkeypatch):
+    # Every degree-matched k with n <= 6 on legged chains of 4-6 vertices,
+    # whose marks include 0s that a middle vertex may leave none of.
+    walk = strata._sub_multisets
+    splits, short = [], []
+
+    def checked(counts, *args):
+        for taken in walk(counts, *args):
+            splits.append(taken)
+            if len(taken) != len(counts):
+                short.append((counts, taken))
+            yield taken
+
+    monkeypatch.setattr(strata, "_sub_multisets", checked)
+    legged_chain = load_orbit_cost().legged_chain
+    for vertex_count in (4, 5, 6):
+        graph = legged_chain(vertex_count)
+        degree = 3 + len(graph.legs) - len(graph.edges)
+        for n in range(7):
+            for k in itertools.combinations_with_replacement(range(degree + n, -1, -1), n):
+                if sum(k) == degree + n:
+                    strata._orbit_sum(graph, psi._key(k))
+    assert splits and not short, f"{len(short)} of {len(splits)} splits short, first {short[:1]}"
 
 
 class TestStrataExpression:
