@@ -385,17 +385,17 @@ def _runs(k: str) -> tuple[str, tuple[int, ...]]:
     return chars, tuple(map(k.count, chars))
 
 
-def _sub_multisets(counts: tuple[int, ...], weights: Sequence[int], need: int) -> Iterator[tuple[int, ...]]:
-    # The sub-multisets (as counts per run) whose sum of (x - 1) is ``need``,
-    # for runs laid out as _runs lays them, ``weights`` the x - 1 of each run
-    # above 1.  Only those runs are walked: a 1 adds nothing, so the 1s range
-    # freely, and a 0 takes one away, so the 0s taken are fixed by the rest.
-    *big, ones, zeros = counts
+def _sub_multisets(big: Sequence[int], weights: Sequence[int], need: int,
+                   zeros: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    # The sub-multisets whose sum of (x - 1) is ``need``, as (taken, drop):
+    # ``taken`` the counts taken of the runs above 1 (``big`` their counts,
+    # ``weights`` their x - 1) and ``drop`` the 0s taken of ``zeros``.  A 0
+    # takes one away, so the 0s taken are fixed by the rest; a 1 adds
+    # nothing, so each split holds every count of 1s, which the caller ranges.
     for taken in itertools.product(*(range(count + 1) for count in big)):
         drop = sum(map(operator.mul, weights, taken)) - need
         if 0 <= drop <= zeros:
-            for one in range(ones + 1):
-                yield taken + (one, drop)
+            yield taken, drop
 
 
 _CHECKED = _MEMOS["graph check"] = {}  # evaluable graph -> (genus, fixed) per vertex
@@ -409,21 +409,19 @@ def _factor_value(genus: int, fixed: Exponents, assigned: str) -> int:
     space without the marks, so the string law runs over the marks alone and
     the dilaton factor counts every special point, down to the inputs with no
     marks or every exponent >= 2.  There the factor is the plain psi integral.
-    Memoized in the graph-recursion memo, in the family (genus, fixed).
+    Memoized in the graph-recursion memo, in the family (genus, fixed),
+    which the engine probes first.
     """
-    value = (_GRAPH_MEMO.get((genus, fixed)) or {}).get(assigned)
-    if value is None:
-        def base(k: str) -> int | None:
-            # A decoration's boundary corrections vanish here: a genus-0
-            # bubble holding the decorated point, the node and marks S has
-            # dimension |S| - 1, but S brings degree >= 2|S|.
-            if not k or k[-1] > "\1":  # the marks' and the fixed points' parts in one key
-                return _scaled(genus, "".join(sorted(k + _key(fixed), reverse=True)))
-            return None
+    def base(k: str) -> int | None:
+        # A decoration's boundary corrections vanish here: a genus-0
+        # bubble holding the decorated point, the node and marks S has
+        # dimension |S| - 1, but S brings degree >= 2|S|.
+        if not k or k[-1] > "\1":  # the marks' and the fixed points' parts in one key
+            return _scaled(genus, "".join(sorted(k + _key(fixed), reverse=True)))
+        return None
 
-        euler = 2 * genus - 2 + len(fixed)
-        value = _string_dilaton(_GRAPH_MEMO, (genus, fixed), euler, base, assigned)
-    return value
+    euler = 2 * genus - 2 + len(fixed)
+    return _string_dilaton(_GRAPH_MEMO, (genus, fixed), euler, base, assigned)
 
 
 def _vertex_factor(genus: int, fixed: Exponents, assigned: Exponents) -> VertexFactor:
@@ -480,9 +478,9 @@ def stratum_terms(graph: DualGraph, exponents: Iterable[int] = ()) -> Iterator[S
 
 
 # Largest _orbit_cost that pullback_integral accepts.  The estimate does not track time: with
-# it lifted (2-vCPU Xeon, CPython 3.11), the legged chain refused at 1.3e9 ran in 0.5-1.1 s
-# and < 45 MB, no slower than delta at 105 marks (4.3e7, 0.4-0.9 s).  README lists these
-# and more, as tools/check/orbit_cost.py measures them.
+# it lifted (2-vCPU Xeon, CPython 3.11), the legged chain refused at 1.3e9 ran cold in
+# 0.24-0.42 s and 17 MB, about as long as delta at 105 marks (4.3e7, 0.22-0.30 s).  README
+# lists these and more, as tools/check/orbit_cost.py measures them.
 MAX_ORBIT_COST = 50_000_000
 
 _PULLBACK_CACHE = _MEMOS["pullback"] = {}  # (graph, psi._key of the marks) -> public value
@@ -507,23 +505,39 @@ def _peel(vertices: Sequence[tuple[int, Exponents]], chars: Sequence[str], count
     # Vertices are peeled one at a time, and splits that leave the same marks
     # share that remainder's sum.  The caller matches the total degree, so
     # the last vertex takes every mark left.  A vertex's marks are keyed by
-    # repeating each character by its count.
-    weights = [ord(c) - 1 for c in chars[:-2]]
+    # repeating each character by its count.  Each split of the runs other
+    # than the 1s builds its key head and tail, remainder prefix and weight
+    # once; the 1s, which it may take any count of, go in between.  Factors
+    # are read from the vertex's family in the graph-recursion memo, fetched
+    # once per vertex (empty if the family is not made yet), and
+    # _factor_value computes a miss.
+    heads, weights = chars[:-2], [ord(c) - 1 for c in chars[:-2]]
     states = {counts: 1}  # marks left -> weighted sum so far
-    for genus, fixed in vertices[:-1]:
-        need = _excess(genus, fixed)
+    for vertex in vertices[:-1]:
+        need, family = _excess(*vertex), _GRAPH_MEMO.get(vertex, {})
         reached: dict[tuple[int, ...], int] = {}
         for left, total in states.items():
-            for taken in _sub_multisets(left, weights, need):
-                factor = _factor_value(genus, fixed, "".join(map(operator.mul, chars, taken)))
-                if factor:
-                    rest = tuple(map(operator.sub, left, taken))
-                    weight = total * math.prod(map(math.comb, left, taken)) * factor
-                    reached[rest] = reached.get(rest, 0) + weight
+            *big, ones, zeros = left
+            for taken, drop in _sub_multisets(big, weights, need, zeros):
+                head, tail = "".join(map(operator.mul, heads, taken)), "\0" * drop
+                prefix = tuple(map(operator.sub, big, taken))
+                scale = total * math.prod(map(math.comb, big, taken)) * math.comb(zeros, drop)
+                for one in range(ones + 1):
+                    key = head + "\1" * one + tail
+                    factor = family.get(key)
+                    if factor is None:
+                        factor = _factor_value(*vertex, key)
+                    if factor:
+                        rest = prefix + (ones - one, zeros - drop)
+                        reached[rest] = reached.get(rest, 0) + scale * math.comb(ones, one) * factor
         states = reached
-    genus, fixed = vertices[-1]
-    return sum(total * _factor_value(genus, fixed, "".join(map(operator.mul, chars, left)))
-               for left, total in states.items())
+    vertex, total = vertices[-1], 0
+    family = _GRAPH_MEMO.get(vertex, {})
+    for left, weight in states.items():
+        key = "".join(map(operator.mul, chars, left))
+        factor = family.get(key)
+        total += weight * (_factor_value(*vertex, key) if factor is None else factor)
+    return total
 
 
 def _orbit_sum(graph: DualGraph, k: str) -> int:

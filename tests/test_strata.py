@@ -337,6 +337,35 @@ class TestOrbitSum:
                 strata.clear_cache()
                 assert pullback_integral(graph, k) == enumerated, k
 
+    def test_warm_orbit_sums_equal_enumeration(self):
+        # The inputs above plus a five-vertex chain's many 1s and 0s, one after
+        # another on shared memos: a vertex's factors are read from its family
+        # when an earlier sum stored them, zeros too, and computed otherwise.
+        cases = [(graph, k) for graph in ORBIT_GRAPHS.values()
+                 for n in range({1: 7, 2: 7, 3: 5, 4: 4}[graph.vertex_count] + 1)
+                 for k in itertools.combinations_with_replacement(range(4), n)]
+        chain5 = legged_chain(5)
+        cases += [(chain5, k) for n in range(6) for k in degree_matched(chain5, n, 3)]
+        strata.clear_cache()
+        enumerated = [sum((term.value for term in stratum_terms(graph, k)), Fraction(0))
+                      for graph, k in cases]
+        strata.clear_cache()
+        for (graph, k), expected in zip(cases, enumerated):
+            assert pullback_integral(graph, k) == expected, (graph, k)
+
+    @pytest.mark.parametrize("graph", [delta_graph(), CHAIN3, LEGGED_DECO],
+                             ids=["delta", "chain3", "legged-deco"])
+    def test_repeated_orbit_sum_makes_no_vertex_factor_call(self, graph, monkeypatch):
+        def no_factor(*args):
+            raise AssertionError("vertex factor evaluated")
+
+        strata.clear_cache()
+        keys = [psi._key(k) for n in range(1, 8) for k in degree_matched(graph, n, 3)]
+        first = [strata._orbit_sum(graph, key) for key in keys]
+        monkeypatch.setattr(strata, "_factor_value", no_factor)
+        assert [strata._orbit_sum(graph, key) for key in keys] == first
+        assert any(first)
+
     @pytest.mark.parametrize("graph", [LEGGED_DECO, gamma_psi_graph(), LAW_GRAPHS["legged-loop"]])
     def test_decorated_factor_matches_subset_expansion(self, graph):
         decorated = [v for v in range(graph.vertex_count) if sum(graph.fixed_exponents(v))]
@@ -643,7 +672,10 @@ class TestSubMultisets:
     @staticmethod
     def walked(counts, values, need):
         assert values[-2:] == (1, 0) and all(x > 1 for x in values[:-2]), values
-        walked = list(strata._sub_multisets(counts, [x - 1 for x in values[:-2]], need))
+        *big, ones, zeros = counts
+        splits = strata._sub_multisets(big, [x - 1 for x in values[:-2]], need, zeros)
+        # each split holds every count of 1s, which the peel ranges itself
+        walked = [taken + (one, drop) for taken, drop in splits for one in range(ones + 1)]
         assert len(walked) == len(set(walked)), (counts, values, need)
         return sorted(walked)
 
@@ -674,9 +706,9 @@ class TestSubMultisets:
             assert bool(expected) == (bottom <= need <= top), need
 
     def test_empty_multiset_yields_the_empty_split_iff_nothing_is_needed(self):
-        assert list(strata._sub_multisets((0, 0), [], 0)) == [(0, 0)]
-        assert list(strata._sub_multisets((0, 0), [], 1)) == []
-        assert list(strata._sub_multisets((0, 0), [], -1)) == []
+        assert list(strata._sub_multisets((), [], 0, 0)) == [((), 0)]
+        assert list(strata._sub_multisets((), [], 1, 0)) == []
+        assert list(strata._sub_multisets((), [], -1, 0)) == []
 
 
 def load_orbit_cost():
@@ -689,16 +721,18 @@ def load_orbit_cost():
 
 def test_every_split_has_one_count_per_run(monkeypatch):
     # Every degree-matched k with n <= 6 on legged chains of 4-6 vertices,
-    # whose marks include 0s that a middle vertex may leave none of.
+    # whose marks include 0s that a middle vertex may leave none of.  A peel
+    # state is big + (ones, zeros), so it has one count per run when big has
+    # one per run above 1, as weights has.
     walk = strata._sub_multisets
     splits, short = [], []
 
-    def checked(counts, *args):
-        for taken in walk(counts, *args):
+    def checked(big, weights, need, zeros):
+        for taken, drop in walk(big, weights, need, zeros):
             splits.append(taken)
-            if len(taken) != len(counts):
-                short.append((counts, taken))
-            yield taken
+            if not len(taken) == len(big) == len(weights) or not 0 <= drop <= zeros:
+                short.append((big, zeros, taken, drop))
+            yield taken, drop
 
     monkeypatch.setattr(strata, "_sub_multisets", checked)
     legged_chain = load_orbit_cost().legged_chain

@@ -4,8 +4,9 @@ For each input shape it prints the marks, ``strata._orbit_cost``'s estimate,
 whether ``pullback_integral`` accepts it (estimate at most
 ``strata.MAX_ORBIT_COST``), and the cold time and peak RSS of the orbit sum
 with the guard lifted: ``strata._peel`` over the graph's vertices, run in a
-fresh interpreter so that every memo starts empty.  README's cost table is
-made from this output::
+fresh interpreter so that every memo starts empty.  The warm time is a second
+``_peel`` on the same shape with the memos full: the peel's own walk, without
+the psi engine's fills.  README's cost table is made from this output::
 
     PYTHONPATH=src python3 tools/check/orbit_cost.py
 
@@ -55,13 +56,15 @@ def runs(counts: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
 
 
 def measure(shape: int) -> None:
-    # In the child: the cold orbit sum with the guard lifted.
+    # In the child: the cold orbit sum with the guard lifted, then a warm one.
     _, graph, counts = SHAPES[shape]
     vertices = strata._vertices(graph)
-    started = time.perf_counter()
-    strata._peel(vertices, *runs(counts))
-    seconds = time.perf_counter() - started
-    print(f"{seconds:.2f} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f}")
+    seconds = []
+    for _ in range(2):
+        started = time.perf_counter()
+        strata._peel(vertices, *runs(counts))
+        seconds.append(time.perf_counter() - started)
+    print(f"{seconds[0]:.2f} {seconds[1] * 1000:.1f} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f}")
 
 
 def main() -> None:
@@ -72,17 +75,17 @@ def main() -> None:
         measure(args.child)
         return
     print(f"limit {strata.MAX_ORBIT_COST:.2g}")
-    print("| input | marks | estimate | cold time | peak RSS |")
-    print("|---|---|---|---|---|")
+    print("| input | marks | estimate | cold time | warm time | peak RSS |")
+    print("|---|---|---|---|---|---|")
     for shape, (name, graph, counts) in enumerate(SHAPES):
         marks = sum(counts)
         estimate = strata._orbit_cost(marks, graph.vertex_count, runs(counts)[1])
         verdict = "accepted" if estimate <= strata.MAX_ORBIT_COST else "refused"
         child = subprocess.run([sys.executable, __file__, "--child", str(shape)],
                                capture_output=True, text=True, check=True)
-        seconds, rss = child.stdout.split()
+        cold, warm, rss = child.stdout.split()
         k = " ".join(f"{value}^{count}" for value, count in zip(VALUES, counts))
-        print(f"| {name}, {k} | {marks} | {estimate:.2g} ({verdict}) | {seconds} s | {rss} MB |")
+        print(f"| {name}, {k} | {marks} | {estimate:.2g} ({verdict}) | {cold} s | {warm} ms | {rss} MB |")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,10 @@ included) through four calls: ``pullback_integral``, the same call again (a
 memo hit), the sum of ``stratum_terms`` and ``expression_integral``.  An
 outcome is the value, or the exception type and message.  Two checkouts that
 print the same count and digest agree on every one of them, so a refactor
-that must not change values can be checked by running this on both::
+that must not change values can be checked by running this on both.  A
+second line gives one md5 over every memo in ``psi._MEMOS`` after the calls,
+its keys, values and insertion order, so a refactor of the evaluators can
+show that it fills the same entries in the same order::
 
     PYTHONPATH=src python3 tools/check/outcome_digest.py [--seed N] [--verbose]
 
@@ -18,6 +21,7 @@ import hashlib
 import random
 from fractions import Fraction
 
+from tautint import psi
 from tautint.strata import (DualGraph, StrataExpression, delta_graph, expression_integral,
                             parse_graph, pullback_integral, stratum_terms)
 
@@ -94,6 +98,9 @@ def main() -> None:
         print("\n".join(records))
     digest = hashlib.md5("\n".join(records).encode()).hexdigest()
     print(f"{len(records)} outcomes, md5 {digest}")
+    # Memo keys and values are graphs, strings, ints, tuples and Fractions,
+    # whose reprs do not depend on the process's hash seed.
+    print(f"memos, md5 {hashlib.md5(repr(psi._MEMOS).encode()).hexdigest()}")
 
 
 if __name__ == "__main__":
