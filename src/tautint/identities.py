@@ -12,9 +12,9 @@ routes compute the same monomial paired with the top Chern class of the
 genus-2 Hodge bundle, whose boundary-strata decomposition reduces everything
 to the same ingredients.
 
-Each public function checks its input once, builds at most one ``Fraction``
-and calls check-free int forms of the multinomial and of the strata
-evaluators.
+Each public function checks its input once, the routes through one partition
+check, builds at most one ``Fraction`` and calls check-free int forms of the
+multinomial and of the strata evaluators.
 """
 
 from __future__ import annotations
@@ -71,15 +71,18 @@ _LAMBDA2_EXPRESSIONS = {  # see lambda2_expression; built once, as verify uses b
 LAMBDA2_METHOD_NAMES = tuple(_LAMBDA2_EXPRESSIONS)
 
 
-def _check_partition(n: int, exponents: Iterable[int]) -> Exponents:
+def _check_partition(n: int, exponents: Iterable[int], excess: int = 1) -> Exponents:
+    # The one input check of the partition routes and lambda_g_prediction: n
+    # exponents of total degree n + excess, the exponents checked first, then
+    # n, their count and their sum.
     k = as_exponents(exponents)
     n = _as_int(n, "n")
     if n < 1:
         raise ValueError("n must be a positive integer")
     if len(k) != n:
         raise ValueError(f"expected {n} exponents, got {len(k)}")
-    if sum(k) != n + 1:
-        raise ValueError(f"exponents {k} must sum to n+1 = {n + 1}")
+    if sum(k) != n + excess:
+        raise ValueError(f"exponents {k} must sum to n{excess:+d} = {n + excess}")
     return k
 
 
@@ -147,18 +150,15 @@ def lambda_g_prediction(g: int, n: int, exponents: Iterable[int]) -> Fraction:
     """Predicted value of the psi monomial paired with the top Hodge class:
     a multinomial coefficient times :func:`lambda_g_initial`.
 
-    Verifiable against independent routes only at g = 2 here; other genera
-    are formula-only.
+    The genus is checked first, then n exponents of total degree n + 2g - 3
+    by the partition check the other verify routes share, so a bad input is
+    refused in their order and with their text.  Verifiable against
+    independent routes only at g = 2 here; other genera are formula-only.
     """
-    g, n = _check_genus(g), _as_int(n, "n")
-    k = as_exponents(exponents)
-    if len(k) != n:
-        raise ValueError(f"expected {n} exponents, got {len(k)}")
-    degree = 2 * g - 3 + n
-    if sum(k) != degree:
-        raise ValueError(f"exponents {k} must sum to 2g-3+n = {degree}")
+    g = _check_genus(g)
+    k = _check_partition(n, exponents, 2 * g - 3)
     numerator, denominator = _lambda_g_ratio(g)
-    return Fraction(_multinomial(degree, k) * numerator, denominator)
+    return Fraction(_multinomial(sum(k), k) * numerator, denominator)
 
 
 class VerificationReport(NamedTuple):

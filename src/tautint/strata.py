@@ -431,9 +431,11 @@ def _vertex_factor(genus: int, fixed: Exponents, assigned: Exponents) -> VertexF
     return VertexFactor(space, assigned + fixed, Fraction(value, 24 ** genus))
 
 
-def _vertices(graph: DualGraph) -> tuple[tuple[int, Exponents], ...]:
+def _vertices(graph: DualGraph, k: Sequence = ()) -> tuple[tuple[int, Exponents], ...]:
     # Each vertex's (genus, fixed) after the checks that see only the graph,
     # run once per evaluable graph (an invalid one raises, not remembered).
+    # Marks k (a tuple or memo key) are refused when a vertex's decorations
+    # total >= 2: its pulled-back class would need products of boundary divisors.
     vertices = _CHECKED.get(graph)
     if vertices is None:
         report = validate_graph(graph)
@@ -446,20 +448,22 @@ def _vertices(graph: DualGraph) -> tuple[tuple[int, Exponents], ...]:
             raise ValueError(f"graph has total genus {genus}; the evaluator covers genus 2")
         vertices = _CHECKED[graph] = tuple((g, graph.fixed_exponents(v))
                                            for v, g in enumerate(graph.genera))
+    for v, (_, fixed) in enumerate(vertices if k else ()):
+        if sum(fixed) >= 2:
+            raise UnsupportedDecorationError(
+                f"vertex v{v} carries decorations of total degree >= 2; only a single unit "
+                "decoration per vertex can be pulled back exactly")
     return vertices
 
 
-def _marked_vertices(graph: DualGraph, k: Exponents) -> tuple[tuple[int, Exponents], ...]:
-    # _vertices(graph), refusing marks k when a vertex's decorations total >= 2:
-    # its pulled-back class would need products of boundary divisors.
-    vertices = _vertices(graph)
-    heavy = next((v for v, (_, fixed) in enumerate(vertices) if sum(fixed) >= 2), None)
-    if k and heavy is not None:
-        raise UnsupportedDecorationError(
-            f"vertex v{heavy} carries decorations of total degree >= 2; only a "
-            "single unit decoration per vertex can be pulled back exactly"
-        )
-    return vertices
+def _checked_input(graph: DualGraph,
+                   exponents: Iterable[int]) -> tuple[Exponents, tuple[tuple[int, Exponents], ...]]:
+    # The public edges' refusals, in their order: a non-integer, a bad graph,
+    # a heavy decoration, a negative part.
+    k = _as_ints(exponents)
+    vertices = _vertices(graph, k)
+    _nonnegative(k)
+    return k, vertices
 
 
 def stratum_terms(graph: DualGraph, exponents: Iterable[int] = ()) -> Iterator[StratumTerm]:
@@ -468,9 +472,7 @@ def stratum_terms(graph: DualGraph, exponents: Iterable[int] = ()) -> Iterator[S
     The generator always performs the full enumeration; use
     :func:`pullback_integral` for the (cached) total.
     """
-    k = _as_ints(exponents)
-    vertices = _marked_vertices(graph, k)
-    _nonnegative(k)
+    k, vertices = _checked_input(graph, exponents)
     for assignment in itertools.product(range(len(vertices)), repeat=len(k)):
         factors = tuple(_vertex_factor(genus, fixed, tuple(x for x, home in zip(k, assignment) if home == v))
                         for v, (genus, fixed) in enumerate(vertices))
@@ -543,7 +545,7 @@ def _peel(vertices: Sequence[tuple[int, Exponents]], chars: Sequence[str], count
 def _orbit_sum(graph: DualGraph, k: str) -> int:
     # The stratum sum over orbits of mark assignments, as the int 24^G * value,
     # for the memo key k (psi._key) of the marks' exponents.
-    vertices = _marked_vertices(graph, k)
+    vertices = _vertices(graph, k)
     # The vertex conditions add up to sum(k) = 3 + n + legs - edges - decorations.
     if sum(map(ord, k)) - len(k) != sum(_excess(g, fixed) for g, fixed in vertices):
         return 0
@@ -572,20 +574,18 @@ def _recursive(graph: DualGraph, exponents: Exponents) -> Fraction:
         k = _key(exponents)
     except ValueError:  # a part beyond chr's range, refused as psi_integral refuses it
         raise _too_costly(len(exponents)) from None
-    _marked_vertices(graph, k)
+    _vertices(graph, k)
     scaled = _string_dilaton(_GRAPH_MEMO, graph, 2 + len(graph.legs), base, k)
     return Fraction(scaled, 24 ** sum(graph.genera))
 
 
 def _refused(graph: DualGraph, exponents: Iterable[int]) -> Fraction:
     # Exponents that psi._key refused: the public edges' errors, in their
-    # order (a non-integer, a bad graph, a heavy decoration, a negative part).
-    # If none applies, a part is beyond chr's range: 0 at a mismatched degree,
-    # else refused as psi_integral refuses such a part, whose one-row diagram
-    # alone fits more than MAX_PSI_COST partitions.
-    k = _as_ints(exponents)
-    vertices = _marked_vertices(graph, k)
-    _nonnegative(k)
+    # order, as _checked_input raises them.  If none applies, a part is beyond
+    # chr's range: 0 at a mismatched degree, else refused as psi_integral
+    # refuses such a part, whose one-row diagram alone fits more than
+    # MAX_PSI_COST partitions.
+    k, vertices = _checked_input(graph, exponents)
     if sum(k) - len(k) != sum(_excess(g, fixed) for g, fixed in vertices):
         return Fraction(0)
     raise _too_costly(len(k))
