@@ -82,7 +82,7 @@ def multinomial(n: int, parts: Iterable[int]) -> int:
     Parts equal to zero are allowed and contribute a factor 0! = 1.
     Raises ValueError when the parts do not sum to ``n``.
     """
-    k = as_exponents(parts)
+    k = _nonnegative(parts)
     n = _as_int(n, "n")
     if n < 0:
         raise ValueError("n must be nonnegative")

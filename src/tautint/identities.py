@@ -14,7 +14,9 @@ to the same ingredients.
 
 Each public function checks its input once, the routes through one partition
 check, builds at most one ``Fraction`` and calls check-free int forms of the
-multinomial and of the strata evaluators.
+multinomial and of the delta recursion.  The strata-form routes call the
+public :func:`tautint.strata.expression_integral`, whose one check is the
+memo key it builds anyway.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from .arith import Exponents, _as_int, _multinomial, as_exponents, bernoulli, pa
 from .psi import _GRAPH_MEMO as _DELTA_MEMO
 from .strata import (
     StrataExpression,
-    _expression_sum,
     _recursive,
     delta0_graph,
     delta_graph,
+    expression_integral,
     gamma_psi_graph,
     pullback_integral,
 )
@@ -124,7 +126,7 @@ def lambda2_expression(method: str) -> StrataExpression:
 def lambda2_integral(n: int, exponents: Iterable[int], method: str = "eq5") -> Fraction:
     """Integrate the psi monomial against the strata form of the Hodge class."""
     k = _check_partition(n, exponents)
-    return _expression_sum(lambda2_expression(method), k)
+    return expression_integral(lambda2_expression(method), k)
 
 
 def _check_genus(g: int) -> int:

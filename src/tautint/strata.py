@@ -29,14 +29,17 @@ boundary divisors.
 A graph builds its per-vertex fixed exponents once, on construction, so
 ``fixed_exponents`` and ``valence`` answer without a scan.  A graph is
 checked once, memoizing each vertex's genus and fixed exponents, and public
-evaluators check the exponents once per call.  The pullback edges build the
-memo key of the marks (``psi._key``) once per call, and that is the integer
-check; the pullback memo is keyed ``(graph, key)``, and the same key goes on
-to the orbit core, which splits its runs over the vertices: its distinct
+evaluators check the exponents once per call.  The pullback edges,
+:func:`pullback_integral` and :func:`expression_integral`, build the memo key
+of the marks (``psi._key``) once per call, and that is the integer check;
+the pullback memo is keyed ``(graph, key)``, and the same key goes on to the
+orbit core, which splits its runs over the vertices: its distinct
 characters, descending, always ending in the 1 run and the 0 run, of count 0
-where the key has none, so every split has one count per run.  An input
-the key refuses goes to one refusal, which names the error in the public
-order, else answers a part beyond ``chr``'s range.  The orbit core itself
+where the key has none, so every split has one count per run.  An input the
+key refuses goes to one refusal, for the pullback's graph or the
+expression's graphs, which names the error in the public order (the order
+:func:`stratum_terms` checks in too), else answers a part beyond ``chr``'s
+range.  The orbit core itself
 refuses the two inputs it cannot compute, before any work: marks on a vertex
 whose decorations total >= 2, and an orbit sum whose estimated cost exceeds
 ``MAX_ORBIT_COST``.  So the pullback memo in front of it runs no check, and
@@ -456,14 +459,15 @@ def _vertices(graph: DualGraph, k: Sequence = ()) -> tuple[tuple[int, Exponents]
     return vertices
 
 
-def _checked_input(graph: DualGraph,
-                   exponents: Iterable[int]) -> tuple[Exponents, tuple[tuple[int, Exponents], ...]]:
-    # The public edges' refusals, in their order: a non-integer, a bad graph,
-    # a heavy decoration, a negative part.
+def _checked_input(graphs: Iterable[DualGraph], exponents: Iterable[int]
+                   ) -> tuple[Exponents, list[tuple[tuple[int, Exponents], ...]]]:
+    # The public refusal order of every strata edge, for a pullback's graph or
+    # an expression's graphs in term order: a non-integer, then each graph's
+    # errors (a bad graph, then a heavy decoration), then a negative part.
     k = _as_ints(exponents)
-    vertices = _vertices(graph, k)
+    checked = [_vertices(graph, k) for graph in graphs]
     _nonnegative(k)
-    return k, vertices
+    return k, checked
 
 
 def stratum_terms(graph: DualGraph, exponents: Iterable[int] = ()) -> Iterator[StratumTerm]:
@@ -472,7 +476,7 @@ def stratum_terms(graph: DualGraph, exponents: Iterable[int] = ()) -> Iterator[S
     The generator always performs the full enumeration; use
     :func:`pullback_integral` for the (cached) total.
     """
-    k, vertices = _checked_input(graph, exponents)
+    k, (vertices,) = _checked_input((graph,), exponents)
     for assignment in itertools.product(range(len(vertices)), repeat=len(k)):
         factors = tuple(_vertex_factor(genus, fixed, tuple(x for x, home in zip(k, assignment) if home == v))
                         for v, (genus, fixed) in enumerate(vertices))
@@ -579,14 +583,16 @@ def _recursive(graph: DualGraph, exponents: Exponents) -> Fraction:
     return Fraction(scaled, 24 ** sum(graph.genera))
 
 
-def _refused(graph: DualGraph, exponents: Iterable[int]) -> Fraction:
-    # Exponents that psi._key refused: the public edges' errors, in their
-    # order, as _checked_input raises them.  If none applies, a part is beyond
-    # chr's range: 0 at a mismatched degree, else refused as psi_integral
-    # refuses such a part, whose one-row diagram alone fits more than
-    # MAX_PSI_COST partitions.
-    k, vertices = _checked_input(graph, exponents)
-    if sum(k) - len(k) != sum(_excess(g, fixed) for g, fixed in vertices):
+def _refused(graphs: Iterable[DualGraph], exponents: Iterable[int]) -> Fraction:
+    # Exponents that psi._key refused, for a pullback's graph or an
+    # expression's graphs: the public errors, in their order, as
+    # _checked_input raises them.  If none applies, a part is beyond chr's
+    # range: 0 unless some graph's degree matches, else refused as
+    # psi_integral refuses such a part, whose one-row diagram alone fits more
+    # than MAX_PSI_COST partitions.  The degree test runs on the ints here and
+    # on code points in _orbit_sum, as no key can hold such a part.
+    k, checked = _checked_input(graphs, exponents)
+    if all(sum(k) - len(k) != sum(_excess(*vertex) for vertex in vertices) for vertices in checked):
         return Fraction(0)
     raise _too_costly(len(k))
 
@@ -606,7 +612,7 @@ def pullback_integral(graph: DualGraph, exponents: Iterable[int] = ()) -> Fracti
     try:  # the memo key is the integer check, as in psi_integral
         key = _key(k)
     except (TypeError, ValueError, OverflowError):  # chr raises OverflowError past C int
-        return _refused(graph, k)
+        return _refused((graph,), k)
     # Only checked inputs are cached, and the checks see only the graph and
     # the multiset of k, so a hit needs no check.
     cached = _PULLBACK_CACHE.get((graph, key))
@@ -643,18 +649,15 @@ class StrataExpression(_ExpressionFields):
 
 def expression_integral(expression: StrataExpression, exponents: Iterable[int] = ()) -> Fraction:
     """Pullback integral of a strata expression: the pullback distributes
-    over the linear combination."""
-    return _expression_sum(expression, _nonnegative(exponents))
-
-
-def _expression_sum(expression: StrataExpression, k: Exponents) -> Fraction:
-    # Check-free: k holds nonnegative ints.  Each term's pullback is probed
-    # under one memo key, and the terms add up as ints over one common
-    # denominator, reduced by the one Fraction.
-    try:
+    over the linear combination.  Refuses as :func:`pullback_integral` does,
+    each term's graph in turn, so a one-term expression refuses as its graph."""
+    k = tuple(exponents)
+    try:  # key-first, as in pullback_integral
         key = _key(k)
-    except (ValueError, OverflowError):  # a part beyond chr's range: each term is 0 or refused
-        return sum((_refused(graph, k) for _, graph in expression.terms), Fraction(0))
+    except (TypeError, ValueError, OverflowError):
+        return _refused((graph for _, graph in expression.terms), k)
+    # Each term's pullback is probed under the one key, and the terms add up
+    # as ints over one common denominator, reduced by the one Fraction.
     numerator, denominator = 0, 1
     for coefficient, graph in expression.terms:
         value = _PULLBACK_CACHE.get((graph, key))

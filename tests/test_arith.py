@@ -57,6 +57,12 @@ class TestMultinomial:
         with pytest.raises(ValueError):
             multinomial(1, (2, -1))
 
+    def test_no_parts(self):
+        # The empty parts sum to 0, so the coefficient is 0!/() = 1.
+        assert multinomial(0, ()) == 1
+        with pytest.raises(ValueError, match=r"^parts \(\) do not sum to 2$"):
+            multinomial(2, ())
+
     @given(st.lists(st.integers(min_value=0, max_value=8), min_size=1, max_size=6))
     def test_permutation_invariance(self, parts):
         n = sum(parts)

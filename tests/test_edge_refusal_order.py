@@ -1,0 +1,72 @@
+"""Every strata edge refuses a bad input alike: a non-integer exponent, then
+the graph (a bad graph, then a heavy decoration), then a negative exponent.
+
+``pullback_integral`` and ``expression_integral`` build the memo key of the
+marks first and hand an input the key refuses to one refusal path, so a
+one-term expression must give its graph's pullback outcome on every input
+below, values included: a part beyond ``chr``'s range at a mismatched degree
+gives 0.  ``stratum_terms`` enumerates instead, so it is held to the same
+refusal wherever the pullback refuses for another reason than such a part.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+
+from tautint import strata
+from tautint.strata import DualGraph, StrataExpression, expression_integral, pullback_integral, stratum_terms
+
+PAST_CHR = 2_000_000  # above 0x10FFFF, so psi._key refuses it
+
+GRAPHS = {
+    "valid": DualGraph((1, 0), ((0, 1), (1, 1))),
+    "unstable": DualGraph((0,)),
+    "bad-vertex-ref": DualGraph((1,), ((0, 0), (0, 3))),
+    "heavy-loop": DualGraph((1,), (((0, 2), (0, 0)),)),
+    "genus-1": DualGraph((1,), (), (("x", 0),)),
+    "genus-3": DualGraph((1,), ((0, 0), (0, 0))),
+    "genus-2-vertex": DualGraph((2,), (), (("x", 0),)),
+}
+EXPONENTS = [
+    (), (2,), (1.5,), (2, 1.5), (-1,), (2, -1), (1, -1), (PAST_CHR,), (PAST_CHR, 0),
+    (1.5, -1), (-1, 1.5), (PAST_CHR, -1), (-1, PAST_CHR), (PAST_CHR, 1.5), (PAST_CHR, -1, 2.0),
+]
+CASES = list(itertools.product(GRAPHS, EXPONENTS))
+
+
+def outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # a refusal is compared by its type and text
+        return type(exc), str(exc)
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    strata.clear_cache()
+
+
+@pytest.mark.parametrize("name, k", CASES, ids=[f"{name}-{k}" for name, k in CASES])
+def test_every_edge_refuses_as_the_pullback(name, k):
+    graph = GRAPHS[name]
+    expected = outcome(lambda: pullback_integral(graph, k))
+    assert outcome(lambda: expression_integral(StrataExpression(((Fraction(1), graph),)), k)) == expected
+    if isinstance(expected, tuple) and "too costly" not in expected[1]:
+        assert outcome(lambda: next(stratum_terms(graph, k))) == expected
+
+
+def test_terms_are_checked_in_order():
+    # The first term's graph is named, whatever the second term holds.
+    terms = ((Fraction(1), GRAPHS["genus-3"]), (Fraction(1), GRAPHS["unstable"]))
+    for k in [(2, -1), (PAST_CHR,), (PAST_CHR, -1)]:
+        with pytest.raises(ValueError, match="total genus 3"):
+            expression_integral(StrataExpression(terms), k)
+
+
+def test_empty_expression_still_checks_the_exponents():
+    with pytest.raises(ValueError, match="must be integers, got 1.5"):
+        expression_integral(StrataExpression(), (1.5, -2))
+    with pytest.raises(ValueError, match=r"^exponents must be nonnegative, got \(2, -1\)$"):
+        expression_integral(StrataExpression(), (2, -1))
+    assert expression_integral(StrataExpression(), (PAST_CHR,)) == 0

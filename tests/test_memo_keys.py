@@ -49,5 +49,5 @@ def test_outcome_digest_of_seed_1():
     run = subprocess.run([sys.executable, str(ROOT / "tools" / "check" / "outcome_digest.py"),
                           "--seed", "1"], capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines() == ["5184 outcomes, md5 18060e7db0551a9185591b9a397bf7e4",
+    assert run.stdout.splitlines() == ["5184 outcomes, md5 dee4b8a1dd97d8b982aab170bac13622",
                                        "memos, md5 068bd93740de32cfe11644a8d7cdafd8"]
