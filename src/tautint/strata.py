@@ -259,6 +259,8 @@ class GraphParseError(ValueError):
 
 def validate_graph(graph: DualGraph) -> ValidationReport:
     """Check every dual-graph invariant; failures are reported, not raised."""
+    if not isinstance(graph, DualGraph):
+        return ValidationReport((Violation("not-a-graph", f"expected a DualGraph, got {graph!r}"),))
     problems: list[Violation] = []
     nv = graph.vertex_count
     if nv == 0:
@@ -635,7 +637,9 @@ class StrataExpression(_ExpressionFields):
     """Formal rational-coefficient combination of dual graphs.
 
     Terms with an identical graph are combined on construction and zero
-    coefficients dropped, so no two stored terms share a graph.
+    coefficients dropped, so no two stored terms share a graph.  A coefficient
+    is an int (bools too, as in graph data) or a Fraction; a float or str
+    raises ValueError, never taken at its binary value or parsed.
     """
 
     __slots__ = ()
@@ -643,6 +647,8 @@ class StrataExpression(_ExpressionFields):
     def __new__(cls, terms: tuple[tuple[Fraction, DualGraph], ...] = ()) -> StrataExpression:
         combined: dict[DualGraph, Fraction] = {}
         for coefficient, graph in terms:
+            if not isinstance(coefficient, (int, Fraction)):
+                raise ValueError(f"coefficients must be integers or Fractions, got {coefficient!r}")
             combined[graph] = combined.get(graph, Fraction(0)) + Fraction(coefficient)
         return super().__new__(cls, tuple((c, g) for g, c in combined.items() if c != 0))
 

@@ -12,6 +12,7 @@ one genus-0 vertex with five fixed points each, whose values are 1 and 2.
 
 from fractions import Fraction
 
+from oracles import CHAIN3, DECORATED_DELTA, LEGGED_DECO
 from tautint import psi
 from tautint.arith import partitions
 from tautint.identities import lambda2_integral, pullback_delta_recursive
@@ -35,9 +36,9 @@ MARKED = [  # graphs evaluated over degree-matched marks
     delta_graph(),
     delta0_graph(),
     gamma_psi_graph(),
-    DualGraph((0, 0, 0), ((0, 1), (0, 1), (1, 2), (1, 2)), (("a", 0), ("b", 2))),
-    DualGraph((1, 0), ((0, 1), ((1, 1), (1, 0))), (("x", 1),)),
-    DualGraph((1, 0), (((0, 1), (1, 0)), (1, 1))),
+    DualGraph(*CHAIN3),
+    DualGraph(*LEGGED_DECO),
+    DualGraph(*DECORATED_DELTA),
 ]
 
 

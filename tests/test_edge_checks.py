@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import CHAIN3, LEGGED_DECO
 from tautint import arith, identities, psi, strata
 from tautint.arith import bernoulli, multinomial, partitions
 from tautint.identities import (
@@ -31,33 +32,12 @@ from tautint.strata import (
     StrataExpression,
     builtin_graph,
     expression_integral,
-    parse_graph,
     pullback_integral,
     validate_graph,
 )
 
-CHAIN3 = """\
-v0 genus=0
-v1 genus=0
-v2 genus=0
-e v0.h0 v1.h0
-e v0.h1 v1.h1
-e v1.h2 v2.h0
-e v1.h3 v2.h1
-leg a v0
-leg b v2
-"""
-
-LEGGED_DECO = """\
-v0 genus=1
-v1 genus=0
-e v0.h0 v1.h0
-e v1.h1 v1.h2 psi=1
-leg x v1
-"""
-
 GRAPHS = [builtin_graph(name) for name in ("delta", "delta0", "gamma-psi")]
-GRAPHS += [parse_graph(CHAIN3), parse_graph(LEGGED_DECO)]
+GRAPHS += [DualGraph(*CHAIN3), DualGraph(*LEGGED_DECO)]
 
 # Each integer parameter by name, a valid value and a call with it set to x.
 INTEGER_PARAMETERS = {

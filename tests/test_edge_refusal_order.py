@@ -15,7 +15,8 @@ from fractions import Fraction
 import pytest
 
 from tautint import strata
-from tautint.strata import DualGraph, StrataExpression, expression_integral, pullback_integral, stratum_terms
+from tautint.strata import (DualGraph, InvalidGraphError, StrataExpression, expression_integral,
+                            pullback_integral, stratum_terms, validate_graph)
 
 PAST_CHR = 2_000_000  # above 0x10FFFF, so psi._key refuses it
 
@@ -27,6 +28,7 @@ GRAPHS = {
     "genus-1": DualGraph((1,), (), (("x", 0),)),
     "genus-3": DualGraph((1,), ((0, 0), (0, 0))),
     "genus-2-vertex": DualGraph((2,), (), (("x", 0),)),
+    "not-a-graph": "delta",
 }
 EXPONENTS = [
     (), (2,), (1.5,), (2, 1.5), (-1,), (2, -1), (1, -1), (PAST_CHR,), (PAST_CHR, 0),
@@ -54,6 +56,17 @@ def test_every_edge_refuses_as_the_pullback(name, k):
     assert outcome(lambda: expression_integral(StrataExpression(((Fraction(1), graph),)), k)) == expected
     if isinstance(expected, tuple) and "too costly" not in expected[1]:
         assert outcome(lambda: next(stratum_terms(graph, k))) == expected
+
+
+@pytest.mark.parametrize("graph", ["delta", None, ((1, 0), ((0, 1), (1, 1)), ())])
+def test_what_is_not_a_dual_graph_is_reported_and_refused(graph):
+    assert [v.kind for v in validate_graph(graph).violations] == ["not-a-graph"]
+    for call in (pullback_integral, lambda g, k: next(stratum_terms(g, k)),
+                 lambda g, k: expression_integral(StrataExpression(((1, g),)), k)):
+        with pytest.raises(InvalidGraphError, match="^not-a-graph: expected a DualGraph, got "):
+            call(graph, (2,))
+        with pytest.raises(ValueError, match="must be integers, got 1.5"):  # a non-integer first
+            call(graph, (2, 1.5))
 
 
 def test_terms_are_checked_in_order():

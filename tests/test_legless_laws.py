@@ -5,17 +5,18 @@ genus-2 curves, so its integral P(k) against a psi monomial in n new marks
 obeys the string law P(k + (0,)) = sum_j P(k - e_j) and the dilaton law
 P(k + (1,)) = (2 + n) P(k).  For a class of codimension 2 (dimension 1) these
 give P(k) = multinomial(n + 1; k) P((2,)); for one of codimension 3 (a point
-class) they give P(k) = c(k) P(()), c computed below by the two laws alone.
-The base values are products of genus-0 and genus-1 one-vertex integrals, so
-no expected value here comes from ``pullback_integral``.
+class) they give P(k) = c(k) P(()), c computed by the two laws alone
+(``oracles.point_coefficient``).  The base values are products of genus-0
+and genus-1 one-vertex integrals, so no expected value here comes from
+``pullback_integral``.
 """
 
 from fractions import Fraction
-from functools import cache
 
 import pytest
 
-from tautint.arith import canonical, multinomial, partitions
+from oracles import DECORATED_DELTA, GAMMA_1_PSI, THETA, point_coefficient
+from tautint.arith import multinomial, partitions
 from tautint.strata import DualGraph, delta0_graph, delta_graph, gamma_psi_graph, pullback_integral
 
 # (graph, P((2,))): the mark with exponent 2 lands on the one vertex where
@@ -25,14 +26,14 @@ CODIM_2 = {
     "delta0": (delta0_graph(), Fraction(1)),  # <tau_0^4 tau_2>_0
     "gamma-psi": (gamma_psi_graph(), Fraction(1, 12)),  # <tau_0 tau_1 tau_2>_1
     # Two genus-1 vertices, psi at one end of their edge: <tau_1>_1 <tau_0 tau_2>_1.
-    "gamma1-psi": (DualGraph((1, 1), (((0, 1), (1, 0)),)), Fraction(1, 576)),
+    "gamma1-psi": (DualGraph(*GAMMA_1_PSI), Fraction(1, 576)),
 }
 # (graph, P(())): the unmarked class's degree, one factor per vertex.
 CODIM_3 = {
-    "theta": (DualGraph((0, 0), ((0, 1), (0, 1), (0, 1))), Fraction(1)),
+    "theta": (DualGraph(*THETA), Fraction(1)),
     "dumbbell": (DualGraph((0, 0), ((0, 0), (0, 1), (1, 1))), Fraction(1)),
     "delta0-psi": (DualGraph((0,), (((0, 1), (0, 0)), (0, 0))), Fraction(1)),  # <tau_1 tau_0^3>_0
-    "delta-psi-g1": (DualGraph((1, 0), (((0, 1), (1, 0)), (1, 1))), Fraction(1, 24)),  # <tau_1>_1
+    "delta-psi-g1": (DualGraph(*DECORATED_DELTA), Fraction(1, 24)),  # <tau_1>_1
     "gamma1-psi-psi": (DualGraph((1, 1), (((0, 1), (1, 1)),)), Fraction(1, 576)),  # <tau_1>_1^2
 }
 # psi on the genus-0 vertex of delta, whose space is a point: 0 at every k.
@@ -40,20 +41,6 @@ ZERO = {
     "delta-psi-g0-bridge": DualGraph((1, 0), (((0, 0), (1, 1)), (1, 1))),
     "delta-psi-g0-loop": DualGraph((1, 0), ((0, 1), ((1, 1), (1, 0)))),
 }
-
-
-@cache
-def point_coefficient(k: tuple[int, ...]) -> int:
-    # c(k) for k descending with sum(k) == len(k): c(()) = 1, then the
-    # dilaton law for a last 1 and the string law for a last 0.
-    if not k:
-        return 1
-    *rest, last = k
-    if last == 1:
-        return (2 + len(rest)) * point_coefficient(tuple(rest))
-    assert last == 0
-    return sum(point_coefficient(canonical(rest[:j] + [rest[j] - 1] + rest[j + 1:]))
-               for j in range(len(rest)) if rest[j])
 
 
 def test_point_coefficients_from_the_laws():

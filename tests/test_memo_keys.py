@@ -9,13 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+from oracles import LEGGED_DECO
 from tautint import psi
 from tautint.identities import pullback_delta_recursive
 from tautint.psi import ModuliIndex, psi_integral
 from tautint.strata import DualGraph, delta_graph, pullback_integral
 
 ROOT = Path(__file__).resolve().parents[1]
-LEGGED_DECO = DualGraph((1, 0), ((0, 1), ((1, 1), (1, 0))), (("x", 1),))
 
 
 def test_every_memo_key_is_an_untracked_descending_str():
@@ -26,7 +26,7 @@ def test_every_memo_key_is_an_untracked_descending_str():
     psi.clear_cache()
     try:
         assert psi_integral(ModuliIndex(0, 22), k) > 0
-        assert pullback_integral(LEGGED_DECO, (3, 2, 1, 1, 0, 0)) > 0
+        assert pullback_integral(DualGraph(*LEGGED_DECO), (3, 2, 1, 1, 0, 0)) > 0
         assert pullback_delta_recursive(6, (3, 2, 1, 1, 0, 0)) > 0
         families = [*psi._CACHE, *psi._GRAPH_MEMO]
         assert 0 in families and delta_graph() in families

@@ -26,19 +26,18 @@ The check stays out of ``verify``, whose output bytes are pinned.
 
 from fractions import Fraction
 
+from oracles import GAMMA_1_PSI
 from tautint import strata
 from tautint.arith import partitions
 from tautint.identities import lambda2_closed
 from tautint.strata import (DualGraph, StrataExpression, delta0_graph, delta_graph,
                             expression_integral, gamma_psi_graph, pullback_integral)
 
-GAMMA_1_PSI = DualGraph((1, 1), (((0, 1), (1, 0)),))
-
 MUMFORD_TERMS = (
     (Fraction(-1, 200), gamma_psi_graph()),
     (Fraction(1, 800), delta0_graph()),
     (Fraction(1, 100), delta_graph()),
-    (Fraction(-1, 50), GAMMA_1_PSI),
+    (Fraction(-1, 50), DualGraph(*GAMMA_1_PSI)),
 )
 
 

@@ -9,11 +9,9 @@ before any vertex factor is evaluated."""
 
 import pytest
 
+from oracles import DECORATED_DELTA, LEGGED_DECO
 from tautint import strata
 from tautint.strata import DualGraph, _recursive, pullback_integral
-
-DECORATED_DELTA = DualGraph((1, 0), (((0, 1), (1, 0)), (1, 1)))
-LEGGED_DECO = DualGraph((1, 0), ((0, 1), ((1, 1), (1, 0))), (("x", 1),))
 
 
 def staircase(a, zeros):
@@ -21,8 +19,8 @@ def staircase(a, zeros):
     return (3,) * a + (2,) * a + (1,) * 5 + (0,) * zeros
 
 
-@pytest.mark.parametrize("graph, k", [(DECORATED_DELTA, staircase(10, 30)),
-                                      (LEGGED_DECO, staircase(10, 29))],
+@pytest.mark.parametrize("graph, k", [(DualGraph(*DECORATED_DELTA), staircase(10, 30)),
+                                      (DualGraph(*LEGGED_DECO), staircase(10, 29))],
                          ids=["decorated-delta-55", "legged-deco-54"])
 def test_decorated_inputs_accepted_and_equal_the_recursion(graph, k):
     strata.clear_cache()
@@ -32,8 +30,8 @@ def test_decorated_inputs_accepted_and_equal_the_recursion(graph, k):
     assert value != 0
 
 
-@pytest.mark.parametrize("graph, k", [(DECORATED_DELTA, staircase(24, 72)),
-                                      (LEGGED_DECO, staircase(24, 71))],
+@pytest.mark.parametrize("graph, k", [(DualGraph(*DECORATED_DELTA), staircase(24, 72)),
+                                      (DualGraph(*LEGGED_DECO), staircase(24, 71))],
                          ids=["decorated-delta-125", "legged-deco-124"])
 def test_larger_decorated_inputs_refused_before_any_work(graph, k, monkeypatch):
     def no_factor(*args):

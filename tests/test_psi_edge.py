@@ -15,13 +15,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import LEGGED_DECO
 from tautint import psi
 from tautint.arith import partitions
 from tautint.identities import pullback_delta_recursive
 from tautint.psi import ModuliIndex, UnsupportedGenusError, psi_integral
 from tautint.strata import DualGraph, gamma_psi_graph, pullback_integral
-
-LEGGED_DECO = DualGraph((1, 0), ((0, 1), ((1, 1), (1, 0))), (("x", 1),))
 
 
 class Level(enum.IntEnum):
@@ -162,7 +161,7 @@ def test_every_psi_memo_key_has_a_matched_degree():
                 assert psi_integral(ModuliIndex(genus, marks), k) > 0
                 k[rng.randrange(marks)] += 1
                 assert psi_integral(ModuliIndex(genus, marks), k) == 0
-        for graph in (gamma_psi_graph(), LEGGED_DECO):  # vertex-factor bases
+        for graph in (gamma_psi_graph(), DualGraph(*LEGGED_DECO)):  # vertex-factor bases
             for n in range(1, 9):
                 for k in partitions(n + 1, n):
                     pullback_integral(graph, k)

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import LEGGED_DECO
 from tautint import psi, strata
 from tautint.arith import partitions
 from tautint.identities import lambda2_integral, verify
@@ -19,7 +20,6 @@ from tautint.strata import (DualGraph, InvalidGraphError, StrataExpression,
                             UnsupportedDecorationError, delta0_graph, delta_graph,
                             expression_integral, gamma_psi_graph, pullback_integral)
 
-LEGGED_DECO = DualGraph((1, 0), ((0, 1), ((1, 1), (1, 0))), (("x", 1),))
 HEAVY_LOOP = DualGraph((1,), (((0, 2), (0, 0)),))
 EXPRESSION = StrataExpression(((Fraction(1, 3), delta_graph()), (Fraction(-2, 5), delta0_graph())))
 PAST_CHR = 2_000_000  # above 0x10FFFF: no code point
@@ -38,7 +38,7 @@ def test_every_pullback_memo_key_is_a_graph_and_an_untracked_str():
                 shuffled = list(k)
                 rng.shuffle(shuffled)
                 pullback_integral(gamma_psi_graph(), map(Exponent, shuffled))
-                pullback_integral(LEGGED_DECO, iter(shuffled))
+                pullback_integral(DualGraph(*LEGGED_DECO), iter(shuffled))
                 expression_integral(EXPRESSION, shuffled)
                 lambda2_integral(n, shuffled, "eq3")
         pullback_integral(HEAVY_LOOP)
@@ -47,7 +47,7 @@ def test_every_pullback_memo_key_is_a_graph_and_an_untracked_str():
     finally:
         psi.clear_cache()
     graphs = {graph for graph, _ in keys}
-    assert graphs == {gamma_psi_graph(), LEGGED_DECO, delta_graph(), delta0_graph(), HEAVY_LOOP}
+    assert graphs == {gamma_psi_graph(), DualGraph(*LEGGED_DECO), delta_graph(), delta0_graph(), HEAVY_LOOP}
     assert len(keys) > 100
     for graph, key in keys:
         assert type(key) is str and not gc.is_tracked(key), key
@@ -55,7 +55,7 @@ def test_every_pullback_memo_key_is_a_graph_and_an_untracked_str():
 
 
 @pytest.mark.parametrize("call", [
-    lambda k: pullback_integral(LEGGED_DECO, k),
+    lambda k: pullback_integral(DualGraph(*LEGGED_DECO), k),
     lambda k: expression_integral(EXPRESSION, k),
     lambda k: lambda2_integral(len(k), k, "eq5"),
 ], ids=["pullback_integral", "expression_integral", "lambda2_integral"])

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import LEGGED_DECO
 from tautint.cli import OutputRecord
 from tautint.identities import VerificationReport, verify
 from tautint.psi import ModuliIndex
@@ -22,7 +23,7 @@ from tautint.strata import (
 
 
 def legged_loop():
-    return DualGraph(genera=(1, 0), edges=((0, 1), ((1, 1), (1, 0))), legs=(("x", 1),))
+    return DualGraph(*LEGGED_DECO)
 
 
 def expression():
@@ -76,7 +77,7 @@ def test_pickle_round_trip(build):
 
 def test_keyword_and_positional_construction_agree():
     assert ModuliIndex(genus=1, marks=2) == ModuliIndex(1, 2)
-    assert legged_loop() == DualGraph((1, 0), ((0, 1), ((1, 1), (1, 0))), (("x", 1),))
+    assert legged_loop() == DualGraph(genera=(1, 0), edges=((0, 1), ((1, 1), (1, 0))), legs=(("x", 1),))
     assert DualGraph(genera=(0,), edges=((0, 0), (0, 0))) == DualGraph((0,), ((0, 0), (0, 0)))
     terms = ((Fraction(1), delta_graph()),)
     assert StrataExpression(terms=terms) == StrataExpression(terms)

@@ -1,6 +1,5 @@
 """Tests for dual graphs, validation, and stratum-pullback evaluation."""
 
-import importlib.util
 import itertools
 import operator
 import os
@@ -10,11 +9,12 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import (CHAIN3, DECORATED_DELTA, LEGGED_DECO, THETA, legged_chain, stratum_sum,
+                     vertex_factor)
 from tautint import psi, strata
 from tautint.arith import partitions
 from tautint.identities import pullback_delta_closed, pullback_delta_recursive
@@ -193,25 +193,16 @@ class TestPullbackIntegral:
             assert lhs == rhs, k
 
     def test_legged_graph_counts_legs_as_points(self):
-        graph = DualGraph(genera=(1, 0), edges=((0, 1), (1, 1)), legs=(("p", 0),))
-        k = (3, 1)
-        # independent Fubini sum over the four mark assignments
-        expected = Fraction(0)
-        for assignment in itertools.product((0, 1), repeat=2):
-            v0 = [k[i] for i in (0, 1) if assignment[i] == 0] + [0, 0]  # leg + edge end
-            v1 = [k[i] for i in (0, 1) if assignment[i] == 1] + [0, 0, 0]  # 3 edge ends
-            expected += (
-                psi_integral(ModuliIndex(1, len(v0)), v0)
-                * psi_integral(ModuliIndex(0, len(v1)), v1)
-            )
+        data = ((1, 0), ((0, 1), (1, 1)), (("p", 0),))
+        # the kit's Fubini sum over the four mark assignments, the leg a point of v0
+        expected = stratum_sum(*data, (3, 1))
         assert expected == Fraction(1, 6)
-        assert pullback_integral(graph, k) == expected
+        assert pullback_integral(DualGraph(*data), (3, 1)) == expected
 
     def test_empty_marks_allowed(self):
         assert pullback_integral(delta_graph(), ()) == 0
-        theta = DualGraph(genera=(0, 0), edges=((0, 1), (0, 1), (0, 1)))
-        assert total_genus(theta) == 2
-        assert pullback_integral(theta, ()) == 1
+        assert total_genus(DualGraph(*THETA)) == 2
+        assert pullback_integral(DualGraph(*THETA), ()) == 1
 
     def test_decorations_without_marks_evaluate_directly(self):
         loop_psi2 = DualGraph(genera=(1,), edges=(((0, 2), (0, 0)),))
@@ -284,44 +275,13 @@ class TestGraphStringDilaton:
             assert pullback_integral(graph, k + (1,)) == expected, k
 
 
-CHAIN3 = DualGraph((0, 0, 0), ((0, 1), (0, 1), (1, 2), (1, 2)), (("a", 0), ("b", 2)))
-LEGGED_DECO = DualGraph((1, 0), ((0, 1), ((1, 1), (1, 0))), (("x", 1),))
-DECORATED_DELTA = DualGraph((1, 0), (((0, 1), (1, 0)), (1, 1)))
-
-
-def legged_chain(vertex_count):
-    """Genus-0 vertices in a row: two double edges, then single edges, with
-    legs wherever a vertex would otherwise have fewer than three points."""
-    edges = [(0, 1), (0, 1), (1, 2), (1, 2)]
-    edges += [(v, v + 1) for v in range(2, vertex_count - 1)]
-    legs = [("a", 0), ("z", vertex_count - 1), ("y", vertex_count - 1)]
-    legs += [(f"m{v}", v) for v in range(3, vertex_count - 1)]
-    return DualGraph((0,) * vertex_count, tuple(edges), tuple(legs))
-
-
-ORBIT_GRAPHS = dict(LAW_GRAPHS, chain3=CHAIN3, chain4=legged_chain(4),
-                    **{"legged-deco": LEGGED_DECO})
-
-
-def subset_expansion(genus, fixed, assigned):
-    """A unit-decorated vertex's factor by the literal sum over the nonempty
-    subsets of its marks that bubble off with the decorated point."""
-    def integral(g, k):
-        return psi_integral(ModuliIndex(g, len(k)), k)
-
-    value = integral(genus, assigned + fixed)
-    zeros = (0,) * len(fixed)
-    for size in range(1, len(assigned) + 1):
-        for bubble in itertools.combinations(range(len(assigned)), size):
-            kept = tuple(e for i, e in enumerate(assigned) if i not in bubble)
-            value -= (integral(genus, kept + zeros)
-                      * integral(0, tuple(assigned[i] for i in bubble) + (0, 0)))
-    return value
+ORBIT_GRAPHS = dict(LAW_GRAPHS, chain3=DualGraph(*CHAIN3), chain4=DualGraph(*legged_chain(4)),
+                    **{"legged-deco": DualGraph(*LEGGED_DECO)})
 
 
 class TestOrbitSum:
     def test_fixture_graphs_are_evaluable(self):
-        for graph in (CHAIN3, LEGGED_DECO, legged_chain(12)):
+        for graph in [DualGraph(*data) for data in (CHAIN3, LEGGED_DECO, legged_chain(12))]:
             assert validate_graph(graph).ok
             assert total_genus(graph) == 2
 
@@ -344,7 +304,7 @@ class TestOrbitSum:
         cases = [(graph, k) for graph in ORBIT_GRAPHS.values()
                  for n in range({1: 7, 2: 7, 3: 5, 4: 4}[graph.vertex_count] + 1)
                  for k in itertools.combinations_with_replacement(range(4), n)]
-        chain5 = legged_chain(5)
+        chain5 = DualGraph(*legged_chain(5))
         cases += [(chain5, k) for n in range(6) for k in degree_matched(chain5, n, 3)]
         strata.clear_cache()
         enumerated = [sum((term.value for term in stratum_terms(graph, k)), Fraction(0))
@@ -353,7 +313,7 @@ class TestOrbitSum:
         for (graph, k), expected in zip(cases, enumerated):
             assert pullback_integral(graph, k) == expected, (graph, k)
 
-    @pytest.mark.parametrize("graph", [delta_graph(), CHAIN3, LEGGED_DECO],
+    @pytest.mark.parametrize("graph", [delta_graph(), DualGraph(*CHAIN3), DualGraph(*LEGGED_DECO)],
                              ids=["delta", "chain3", "legged-deco"])
     def test_repeated_orbit_sum_makes_no_vertex_factor_call(self, graph, monkeypatch):
         def no_factor(*args):
@@ -366,7 +326,7 @@ class TestOrbitSum:
         assert [strata._orbit_sum(graph, key) for key in keys] == first
         assert any(first)
 
-    @pytest.mark.parametrize("graph", [LEGGED_DECO, gamma_psi_graph(), LAW_GRAPHS["legged-loop"]])
+    @pytest.mark.parametrize("graph", [DualGraph(*LEGGED_DECO), gamma_psi_graph(), LAW_GRAPHS["legged-loop"]])
     def test_decorated_factor_matches_subset_expansion(self, graph):
         decorated = [v for v in range(graph.vertex_count) if sum(graph.fixed_exponents(v))]
         assert decorated
@@ -377,7 +337,7 @@ class TestOrbitSum:
                         fixed = graph.fixed_exponents(v)
                         factor = term.factors[v]
                         assigned = factor.exponents[:len(factor.exponents) - len(fixed)]
-                        assert factor.value == subset_expansion(graph.genera[v], fixed, assigned), k
+                        assert factor.value == vertex_factor(graph.genera[v], fixed, assigned), k
 
     def test_wrong_degree_returns_zero_before_any_vertex_factor(self, monkeypatch):
         def no_factor(*args):
@@ -386,7 +346,7 @@ class TestOrbitSum:
         strata.clear_cache()
         monkeypatch.setattr(strata, "_factor_value", no_factor)
         # chain3 needs total degree n+1; 21 marks of degree 42 give 3^21 zero strata
-        assert pullback_integral(CHAIN3, (2,) * 21) == 0
+        assert pullback_integral(DualGraph(*CHAIN3), (2,) * 21) == 0
         assert pullback_integral(delta_graph(), (2, 1) + (0,) * 28) == 0
 
     def test_costly_input_refused_before_any_work(self, monkeypatch):
@@ -395,13 +355,13 @@ class TestOrbitSum:
 
         strata.clear_cache()
         monkeypatch.setattr(strata, "_factor_value", no_factor)
-        graph = legged_chain(12)
+        graph = DualGraph(*legged_chain(12))
         k = (3,) * 6 + (2,) * 6 + (1,) * 6 + (0,) * 17  # degree n+1, as the chain needs
         with pytest.raises(ValueError, match="too costly"):
             pullback_integral(graph, k)
 
-    @pytest.mark.parametrize("graph", [delta_graph(), gamma_psi_graph(), CHAIN3, LEGGED_DECO,
-                                       DECORATED_DELTA],
+    @pytest.mark.parametrize("graph", [delta_graph(), gamma_psi_graph(), DualGraph(*CHAIN3),
+                                       DualGraph(*LEGGED_DECO), DualGraph(*DECORATED_DELTA)],
                              ids=["delta", "gamma-psi", "chain3", "legged-deco", "decorated-delta"])
     def test_vertex_factors_of_a_cold_orbit_sum_within_its_cost(self, graph, monkeypatch):
         # The guard's estimate bounds the walk: every vertex factor one cold
@@ -431,21 +391,22 @@ class TestOrbitSum:
     def test_decorated_delta_without_marks_equals_its_one_stratum(self):
         # The peel runs over an empty multiset; the one stratum is the graph's own class.
         strata.clear_cache()
-        enumerated = sum((term.value for term in stratum_terms(DECORATED_DELTA)), Fraction(0))
+        graph = DualGraph(*DECORATED_DELTA)
+        enumerated = sum((term.value for term in stratum_terms(graph)), Fraction(0))
         strata.clear_cache()
-        assert pullback_integral(DECORATED_DELTA) == enumerated == Fraction(1, 24)
+        assert pullback_integral(graph) == enumerated == Fraction(1, 24)
 
     def test_long_chain_input_allowed(self):
         # 150 marks on three vertices stay under the cost limit; the value
         # obeys the dilaton law (factor 2g-2 + legs + marks = 2 + 2 + 149).
         strata.clear_cache()
-        shorter = pullback_integral(CHAIN3, (2,) + (1,) * 148)
+        shorter = pullback_integral(DualGraph(*CHAIN3), (2,) + (1,) * 148)
         assert shorter != 0
-        assert pullback_integral(CHAIN3, (2,) + (1,) * 149) == 153 * shorter
+        assert pullback_integral(DualGraph(*CHAIN3), (2,) + (1,) * 149) == 153 * shorter
 
     def test_clear_cache_drops_vertex_factors(self):
         strata.clear_cache()
-        pullback_integral(LEGGED_DECO, (2, 1, 1))
+        pullback_integral(DualGraph(*LEGGED_DECO), (2, 1, 1))
         assert psi._GRAPH_MEMO and strata._PULLBACK_CACHE
         strata.clear_cache()
         assert not psi._GRAPH_MEMO and not strata._PULLBACK_CACHE
@@ -583,11 +544,12 @@ class TestIntegerMemos:
     def test_memos_hold_ints_and_public_values_are_fractions(self):
         psi.clear_cache()
         strata.clear_cache()
+        graph = DualGraph(*LEGGED_DECO)
         for n in range(1, 6):
-            for k in degree_matched(LEGGED_DECO, n, 3):
-                value = pullback_integral(LEGGED_DECO, k)
+            for k in degree_matched(graph, n, 3):
+                value = pullback_integral(graph, k)
                 assert type(value) is Fraction
-                assert value == sum((term.value for term in stratum_terms(LEGGED_DECO, k)), Fraction(0))
+                assert value == sum((term.value for term in stratum_terms(graph, k)), Fraction(0))
         for n in range(1, 9):
             for k in partitions(n + 1, n):
                 value = pullback_delta_recursive(n, k)
@@ -602,9 +564,10 @@ class TestIntegerMemos:
 
     def test_each_factor_is_24_to_the_genus_times_its_value(self):
         strata.clear_cache()
+        graph = DualGraph(*LEGGED_DECO)
         for n in range(1, 6):
-            for k in degree_matched(LEGGED_DECO, n, 3):
-                pullback_integral(LEGGED_DECO, k)
+            for k in degree_matched(graph, n, 3):
+                pullback_integral(graph, k)
         pullback_delta_recursive(1, (2,))
         decorated = 0
         factors = [(family, psi._exponents(key), scaled)
@@ -616,13 +579,9 @@ class TestIntegerMemos:
             factor = strata._vertex_factor(genus, fixed, assigned)
             assert type(factor.value) is Fraction
             assert scaled == 24 ** genus * factor.value
-            # and the value itself, by an evaluation that never scales
-            if sum(fixed):
-                decorated += 1
-                assert factor.value == subset_expansion(genus, fixed, assigned)
-            else:
-                exponents = assigned + fixed
-                assert factor.value == psi_integral(ModuliIndex(genus, len(exponents)), exponents)
+            # and the value itself, by the oracle kit's, which never scales
+            assert factor.value == vertex_factor(genus, fixed, assigned)
+            decorated += sum(fixed) > 0
         assert decorated
 
 
@@ -711,14 +670,6 @@ class TestSubMultisets:
         assert list(strata._sub_multisets((), [], -1, 0)) == []
 
 
-def load_orbit_cost():
-    path = Path(__file__).resolve().parents[1] / "tools" / "check" / "orbit_cost.py"
-    spec = importlib.util.spec_from_file_location("orbit_cost", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_every_split_has_one_count_per_run(monkeypatch):
     # Every degree-matched k with n <= 6 on legged chains of 4-6 vertices,
     # whose marks include 0s that a middle vertex may leave none of.  A peel
@@ -735,9 +686,8 @@ def test_every_split_has_one_count_per_run(monkeypatch):
             yield taken, drop
 
     monkeypatch.setattr(strata, "_sub_multisets", checked)
-    legged_chain = load_orbit_cost().legged_chain
     for vertex_count in (4, 5, 6):
-        graph = legged_chain(vertex_count)
+        graph = DualGraph(*legged_chain(vertex_count))
         degree = 3 + len(graph.legs) - len(graph.edges)
         for n in range(7):
             for k in itertools.combinations_with_replacement(range(degree + n, -1, -1), n):
@@ -777,6 +727,16 @@ class TestStrataExpression:
         ))
         assert expr.terms == ((Fraction(1), delta_graph()),)
 
+    @pytest.mark.parametrize("bad", [0.1, 1.0, "1/3", None])
+    def test_coefficients_neither_rounded_nor_parsed(self, bad):
+        with pytest.raises(ValueError, match="^coefficients must be integers or Fractions, got "
+                                             + re.escape(repr(bad)) + "$"):
+            StrataExpression(((Fraction(1), delta0_graph()), (bad, delta_graph())))
+
+    def test_int_bool_and_fraction_coefficients_accepted(self):
+        expr = StrataExpression(((1, delta_graph()), (True, delta_graph()), (Fraction(1, 3), delta0_graph())))
+        assert expr.terms == ((Fraction(2), delta_graph()), (Fraction(1, 3), delta0_graph()))
+
     def test_cancelling_terms_drop(self):
         expr = StrataExpression((
             (Fraction(1), delta_graph()),
@@ -785,14 +745,11 @@ class TestStrataExpression:
         assert expr.terms == ()
 
 
-def legged_loop():
-    return DualGraph(genera=(1, 0), edges=((0, 1), ((1, 1), (1, 0))), legs=(("x", 1),))
-
-
 class TestGraphHash:
-    LEGGED = legged_loop()
+    LEGGED = DualGraph(*LEGGED_DECO)
 
-    @pytest.mark.parametrize("build", [delta_graph, legged_loop])
+    @pytest.mark.parametrize("build", [delta_graph, lambda: DualGraph(*LEGGED_DECO)],
+                             ids=["delta", "legged-deco"])
     def test_hash_computed_once_with_the_dataclass_value(self, build):
         graph = build()
         assert hash(graph) == hash((graph.genera, graph.edges, graph.legs))
