@@ -12,10 +12,6 @@ from .identities import *
 from .psi import *
 from .strata import *
 
-# psi and strata share one clear_cache, for every memo; callers name the module.
-del clear_cache
-
 __version__ = "0.1.0"
 
-__all__ = [name for module in (arith, psi, strata, identities)
-           for name in module.__all__ if name != "clear_cache"]
+__all__ = [name for module in (arith, psi, strata, identities) for name in module.__all__]

@@ -93,7 +93,7 @@ class OutputRecord(_OutputFields):
         return cls.from_dict(json.loads(text))
 
 
-def _int_arg(text: str) -> int:
+def _int_arg(text: str, error: str = "") -> int:
     # ASCII decimal digits, as the graph grammar reads them; int() alone also
     # takes '1_0' (as 10), '+1' and other scripts' digits such as '١'.
     try:
@@ -101,26 +101,19 @@ def _int_arg(text: str) -> int:
             return int(text)
     except ValueError:  # past int()'s digit limit
         pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    raise argparse.ArgumentTypeError(error or f"invalid int value: {text!r}")
 
 
 def _exponents_arg(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(_int_arg(part) for part in text.split(","))
-    except argparse.ArgumentTypeError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers such as 2,1,0 — got {text!r}"
-        )
+    error = f"expected comma-separated integers such as 2,1,0 — got {text!r}"
+    values = tuple(_int_arg(part, error) for part in text.split(","))
     if any(v < 0 for v in values):
         raise argparse.ArgumentTypeError(f"exponents must be nonnegative, got {text!r}")
     return values
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = _int_arg(text)
-    except argparse.ArgumentTypeError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    value = _int_arg(text, f"expected an integer, got {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
@@ -137,19 +130,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_psi.add_argument("--genus", type=_int_arg, choices=(0, 1), required=True)
     p_psi.add_argument("--k", type=_exponents_arg, required=True, metavar="K1,K2,...",
                        help="psi exponents, one per marked point")
-    p_psi.add_argument("--json", action="store_true", help="emit a JSON record")
+    p_psi.set_defaults(handler=_cmd_psi)
 
     p_pull = sub.add_parser("pullback", help="integral against a pulled-back stratum class")
     p_pull.add_argument("--graph", required=True,
                         help=f"{' | '.join(sorted(BUILTIN_GRAPHS))} | file:<path>")
     p_pull.add_argument("--k", type=_exponents_arg, default=(), metavar="K1,K2,...",
                         help="psi exponents of the new marked points (default: none)")
-    p_pull.add_argument("--json", action="store_true", help="emit a JSON record")
+    p_pull.set_defaults(handler=_cmd_pullback)
 
     p_l2 = sub.add_parser("lambda2", help="genus-2 Hodge-class integral")
     p_l2.add_argument("--k", type=_exponents_arg, required=True, metavar="K1,K2,...")
     p_l2.add_argument("--method", choices=("closed",) + LAMBDA2_METHOD_NAMES, default="closed")
-    p_l2.add_argument("--json", action="store_true", help="emit a JSON record")
+    p_l2.set_defaults(handler=_cmd_lambda2)
 
     p_ver = sub.add_parser("verify", help="cross-check all computation routes")
     p_ver.add_argument("--n-max", type=_positive_int, default=10)
@@ -157,6 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--hard", action="store_true",
                        help=f"allow --n-max beyond {SOFT_N_MAX}, though the run time about "
                             "doubles every two steps")
+    p_ver.set_defaults(handler=_cmd_verify)
+
+    for single in (p_psi, p_pull, p_l2):  # last, so -h lists it after the other options
+        single.add_argument("--json", action="store_true", help="emit a JSON record")
     return parser
 
 
@@ -173,19 +170,13 @@ def _cmd_psi(args: argparse.Namespace) -> int:
     return _emit(args, {"genus": args.genus, "k": list(args.k)}, "string-dilaton", value)
 
 
-def _resolve_graph(name: str):
-    if name in BUILTIN_GRAPHS:
-        return builtin_graph(name)
-    if name.startswith("file:"):
-        path = name.removeprefix("file:")
-        with open(path, encoding="utf-8") as handle:
-            return parse_graph(handle.read())
-    return None
-
-
 def _cmd_pullback(args: argparse.Namespace) -> int:
-    graph = _resolve_graph(args.graph)
-    if graph is None:
+    if args.graph in BUILTIN_GRAPHS:
+        graph = builtin_graph(args.graph)
+    elif args.graph.startswith("file:"):
+        with open(args.graph.removeprefix("file:"), encoding="utf-8") as handle:
+            graph = parse_graph(handle.read())
+    else:
         print(
             f"unknown graph {args.graph!r}; use one of "
             f"{', '.join(sorted(BUILTIN_GRAPHS))} or file:<path>",
@@ -279,14 +270,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if agreed else EXIT_DISAGREE
 
 
-_HANDLERS = {
-    "psi": _cmd_psi,
-    "pullback": _cmd_pullback,
-    "lambda2": _cmd_lambda2,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -295,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except InvalidGraphError as exc:
         print(f"invalid graph:\n{exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -44,7 +44,6 @@ __all__ = [
     "UnsupportedGenusError",
     "psi_integral",
     "genus0_closed_form",
-    "clear_cache",
 ]
 
 

@@ -108,7 +108,6 @@ __all__ = [
     "expression_integral",
     "parse_graph",
     "format_graph",
-    "clear_cache",
 ]
 
 
@@ -323,6 +322,8 @@ def _component_count(graph: DualGraph) -> int:
 
 def total_genus(graph: DualGraph) -> int:
     """Sum of vertex genera plus the graph's first Betti number."""
+    if not isinstance(graph, DualGraph):
+        raise InvalidGraphError(validate_graph(graph))
     betti = len(graph.edges) - graph.vertex_count + _component_count(graph)
     return sum(graph.genera) + betti
 
@@ -441,7 +442,8 @@ def _vertices(graph: DualGraph, k: Sequence = ()) -> tuple[tuple[int, Exponents]
     # run once per evaluable graph (an invalid one raises, not remembered).
     # Marks k (a tuple or memo key) are refused when a vertex's decorations
     # total >= 2: its pulled-back class would need products of boundary divisors.
-    vertices = _CHECKED.get(graph)
+    # A non-graph, maybe unhashable, skips the memo for validate_graph's report.
+    vertices = _CHECKED.get(graph) if isinstance(graph, DualGraph) else None
     if vertices is None:
         report = validate_graph(graph)
         if not report.ok:
@@ -586,8 +588,8 @@ def _recursive(graph: DualGraph, exponents: Exponents) -> Fraction:
 
 
 def _refused(graphs: Iterable[DualGraph], exponents: Iterable[int]) -> Fraction:
-    # Exponents that psi._key refused, for a pullback's graph or an
-    # expression's graphs: the public errors, in their order, as
+    # Exponents that psi._key refused (or an unhashable graph), for a pullback's
+    # graph or an expression's graphs: the public errors, in their order, as
     # _checked_input raises them.  If none applies, a part is beyond chr's
     # range: 0 unless some graph's degree matches, else refused as
     # psi_integral refuses such a part, whose one-row diagram alone fits more
@@ -611,13 +613,13 @@ def pullback_integral(graph: DualGraph, exponents: Iterable[int] = ()) -> Fracti
     part above 0x10FFFF at a matched degree ("too costly" either way).
     """
     k = tuple(exponents)
-    try:  # the memo key is the integer check, as in psi_integral
-        key = _key(k)
-    except (TypeError, ValueError, OverflowError):  # chr raises OverflowError past C int
-        return _refused((graph,), k)
     # Only checked inputs are cached, and the checks see only the graph and
     # the multiset of k, so a hit needs no check.
-    cached = _PULLBACK_CACHE.get((graph, key))
+    try:  # the memo key is the integer check, as in psi_integral
+        key = _key(k)
+        cached = _PULLBACK_CACHE.get((graph, key))
+    except (TypeError, ValueError, OverflowError):  # chr past C int, probe of an unhashable graph
+        return _refused((graph,), k)
     if cached is None:
         cached = _pullback(graph, key)
     return cached
@@ -649,7 +651,10 @@ class StrataExpression(_ExpressionFields):
         for coefficient, graph in terms:
             if not isinstance(coefficient, (int, Fraction)):
                 raise ValueError(f"coefficients must be integers or Fractions, got {coefficient!r}")
-            combined[graph] = combined.get(graph, Fraction(0)) + Fraction(coefficient)
+            try:
+                combined[graph] = combined.get(graph, Fraction(0)) + Fraction(coefficient)
+            except TypeError:  # an unhashable graph
+                raise InvalidGraphError(validate_graph(graph)) from None
         return super().__new__(cls, tuple((c, g) for g, c in combined.items() if c != 0))
 
 
@@ -731,6 +736,8 @@ def parse_graph(text: str) -> DualGraph:
 
 def format_graph(graph: DualGraph) -> str:
     """Render a graph in the literal format; parse_graph round-trips it."""
+    if not isinstance(graph, DualGraph):
+        raise InvalidGraphError(validate_graph(graph))
     lines = [f"v{i} genus={g}" for i, g in enumerate(graph.genera)]
     next_slot = [0] * graph.vertex_count
 

@@ -83,3 +83,24 @@ def test_empty_expression_still_checks_the_exponents():
     with pytest.raises(ValueError, match=r"^exponents must be nonnegative, got \(2, -1\)$"):
         expression_integral(StrataExpression(), (2, -1))
     assert expression_integral(StrataExpression(), (PAST_CHR,)) == 0
+
+
+@pytest.mark.parametrize("graph", [[1], ([1],), {"genera": (2,)}])
+def test_an_unhashable_graph_is_reported_and_refused(graph):
+    # The memo probes cannot hash it; the edges report it as any non-graph,
+    # and an expression refuses the term when it is built.
+    for call in (pullback_integral, lambda g, k: next(stratum_terms(g, k))):
+        for k in [(2,), (PAST_CHR,), (2, -1)]:
+            with pytest.raises(InvalidGraphError, match="^not-a-graph: expected a DualGraph, got "):
+                call(graph, k)
+        with pytest.raises(ValueError, match="must be integers, got 1.5"):  # a non-integer first
+            call(graph, (2, 1.5))
+    with pytest.raises(InvalidGraphError, match="^not-a-graph: expected a DualGraph, got "):
+        StrataExpression(((1, GRAPHS["valid"]), (1, graph)))
+
+
+@pytest.mark.parametrize("graph", ["delta", None, [1]])
+def test_graph_helpers_refuse_what_is_not_a_dual_graph(graph):
+    for helper in (strata.total_genus, strata.format_graph):
+        with pytest.raises(InvalidGraphError, match="^not-a-graph: expected a DualGraph, got "):
+            helper(graph)

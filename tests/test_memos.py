@@ -15,7 +15,7 @@ from tautint.strata import gamma_psi_graph, pullback_integral, validate_graph
 
 # Module-level dicts that are tables of constants, not memos.
 CONSTANT_TABLES = [psi._BASE, strata.BUILTIN_GRAPHS, strata._LINE_KINDS,
-                   identities._LAMBDA2_EXPRESSIONS, cli._HANDLERS]
+                   identities._LAMBDA2_EXPRESSIONS]
 
 
 def delta_staircase(m):

@@ -1,15 +1,18 @@
-"""Compare this checkout's outcomes, memos and ``verify`` bytes with another's.
+"""Compare this checkout's outcomes, memos and CLI bytes with another's.
 
 For this checkout and for PARENT_DIR, each with its own ``src/`` on
 ``PYTHONPATH`` and every run in a fresh interpreter, it runs this checkout's
 ``tools/check/outcome_digest.py`` for seeds 1-3 (the outcome line and the memo
-line) and ``python -m tautint.cli verify`` four times: CSV ``--n-max 10``, CSV
-``--n-max 18 --hard``, text ``--n-max 10`` and JSON ``--n-max 8``.  A verify
-run is read as the md5 of its stdout with its exit code.  It prints one row
-per check, ``same`` or ``DIFFERENT``, and exits 1 on any difference.  Where a
-seed's outcomes differ, it reruns that seed with ``--verbose`` on both sides
-and prints how many outcome lines differ for each call, then the first three
-differing lines from each side::
+line) and ``python -m tautint.cli`` on each argument list of ``CLI_RUNS``:
+``verify`` four times (CSV ``--n-max 10``, CSV ``--n-max 18 --hard``, text
+``--n-max 10`` and JSON ``--n-max 8``), ``-h`` of the program and of each
+subcommand, and six usage errors.  A CLI run is read as the md5 of its stdout
+and of its stderr with its exit code, under ``COLUMNS=80``, as argparse wraps
+at the terminal width.  It prints one row per check, ``same`` or
+``DIFFERENT``, and exits 1 on any difference.  Where a seed's outcomes
+differ, it reruns that seed with ``--verbose`` on both sides and prints how
+many outcome lines differ for each call, then the first three differing lines
+from each side::
 
     python3 tools/check/same_outcomes.py PARENT_DIR
 """
@@ -22,16 +25,24 @@ import sys
 
 HERE = pathlib.Path(__file__).resolve()
 DIGEST = HERE.with_name("outcome_digest.py")
-VERIFY_RUNS = {
-    "verify csv --n-max 10": ["--format", "csv", "--n-max", "10"],
-    "verify csv --n-max 18 --hard": ["--format", "csv", "--n-max", "18", "--hard"],
-    "verify text --n-max 10": ["--format", "text", "--n-max", "10"],
-    "verify json --n-max 8": ["--format", "json", "--n-max", "8"],
+CLI_RUNS = {
+    "verify csv --n-max 10": ["verify", "--format", "csv", "--n-max", "10"],
+    "verify csv --n-max 18 --hard": ["verify", "--format", "csv", "--n-max", "18", "--hard"],
+    "verify text --n-max 10": ["verify", "--format", "text", "--n-max", "10"],
+    "verify json --n-max 8": ["verify", "--format", "json", "--n-max", "8"],
+    "tautint -h": ["-h"],
+    **{f"{command} -h": [command, "-h"] for command in ("psi", "pullback", "lambda2", "verify")},
+    "pullback --graph banana": ["pullback", "--graph", "banana"],
+    "verify --n-max 13": ["verify", "--n-max", "13"],
+    "verify --n-max 0": ["verify", "--n-max", "0"],
+    "verify --n-max +2": ["verify", "--n-max", "+2"],
+    "psi --genus x --k 1": ["psi", "--genus", "x", "--k", "1"],
+    "lambda2 --k 2,+0": ["lambda2", "--k", "2,+0"],
 }
 
 
 def run(checkout: pathlib.Path, args: list[str]) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), COLUMNS="80")
     return subprocess.run([sys.executable, *args], env=env, cwd=checkout, capture_output=True, text=True)
 
 
@@ -42,9 +53,10 @@ def outcomes(checkout: pathlib.Path) -> dict[str, str]:
         lines = run(checkout, [str(DIGEST), "--seed", str(seed)]).stdout.splitlines()
         lines += ["(no line)"] * (2 - len(lines))
         rows[f"seed {seed} outcomes"], rows[f"seed {seed} memos"] = lines[:2]
-    for name, args in VERIFY_RUNS.items():
-        done = run(checkout, ["-m", "tautint.cli", "verify", *args])
-        rows[name] = f"md5 {hashlib.md5(done.stdout.encode()).hexdigest()} exit {done.returncode}"
+    for name, args in CLI_RUNS.items():
+        done = run(checkout, ["-m", "tautint.cli", *args])
+        out, err = (hashlib.md5(text.encode()).hexdigest() for text in (done.stdout, done.stderr))
+        rows[name] = f"md5 {out} {err} exit {done.returncode}"
     return rows
 
 
