@@ -153,6 +153,8 @@ def bernoulli(m: int) -> Fraction:
 
 def format_rational(value: Fraction | int) -> str:
     """Render an exact rational as "p/q", omitting "/q" when q is 1."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"format_rational takes an int or Fraction, got {type(value).__name__}")
     # Decimal prints every digit; str(int) stops at sys.get_int_max_str_digits().
     if value.denominator == 1:
         return str(Decimal(value.numerator))

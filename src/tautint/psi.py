@@ -24,8 +24,8 @@ cross-check.
 Inputs are checked at the public edge only.  :func:`psi_integral` builds the
 memo key from the caller's exponents, and that is the integer check; only an
 input the key refuses goes through ``as_exponents``, for the named error.  A
-hit returns before the degree test, as every key of a psi family has a matched
-degree; a miss runs the check-free int entry ``_scaled``, and the edge builds
+hit skips the degree test, as every key of a psi family has a matched degree;
+a miss runs it, then the check-free int entry ``_scaled``, and the edge builds
 the one ``Fraction``.  The strata evaluator multiplies those ints directly.
 :func:`clear_cache` empties every memo in ``_MEMOS``, and the engine refuses
 a call whose memo would outgrow ``MAX_PSI_COST`` entries before any work.
@@ -79,7 +79,6 @@ class ModuliIndex(NamedTuple):
 _MEMOS: dict[str, dict] = {}
 _CACHE = _MEMOS["psi"] = {}
 _GRAPH_MEMO = _MEMOS["graph recursion"] = {}
-_BASE = {0: {"\0\0\0": 1}, 1: {"\1": 1}}  # 24^g times <1>_{0,3} and <psi_1>_{1,1}, by _key
 
 
 def _key(k: Iterable[int]) -> str:
@@ -139,7 +138,7 @@ def psi_integral(space: ModuliIndex, exponents: Iterable[int]) -> Fraction:
     # Every key of a psi family has a matched degree, so a hit needs no degree test.
     value = (_CACHE.get(genus) or {}).get(key)
     if value is None:
-        value = _scaled(genus, key) if key else 0
+        value = _scaled(genus, key) if key and sum(map(ord, key)) == 3 * genus - 3 + marks else 0
     return Fraction(value) if genus == 0 else Fraction(value, 24)
 
 
@@ -177,23 +176,20 @@ def _too_costly(marks: int) -> ValueError:
 
 
 def _scaled(genus: int, key: str) -> int:
-    # Check-free entry: the _key of exponents on a stable genus-0/1 index.
-    # Returns N = 24^genus * value, and 0 on a degree mismatch.
-    if sum(map(ord, key)) != 3 * genus - 3 + len(key):
-        return 0
-    return _string_dilaton(_CACHE, genus, 2 * genus - 2, _BASE[genus].get, key)
+    # Check-free entry: the _key of degree-matched exponents on a stable genus-0/1
+    # index.  Returns N = 24^genus * value; the steps stop only at N = 1, the
+    # base <1>_{0,3} or <psi_1>_{1,1}.
+    return _string_dilaton(_CACHE, genus, 2 * genus - 2, lambda k: 1, key)
 
 
-def _string_dilaton(memo: dict, family: object, euler: int,
-                    base: Callable[[str], int | Fraction | None], k: str):
+def _string_dilaton(memo: dict, family: object, euler: int, base: Callable[[str], int], k: str) -> int:
     # The values of one family, memoized in ``memo[family]`` under their
-    # _key: psi integrals of genus ``family`` (as ints N), pullbacks of the
+    # _key, as ints: psi integrals of genus ``family`` (N), pullbacks of the
     # graph ``family``, or the factors of the vertex ``family`` = (genus, fixed).
-    # The steps only add and multiply by ints, so values keep the base's type
-    # (an empty string sum is the int 0).  ``euler`` is the family's 2g-2 plus
-    # legs; ``base(k)`` is the value where string and dilaton do not apply,
-    # else None.  k is a _key.  Pending steps wait on an explicit stack, so
-    # the depth is not bounded by Python's recursion limit.
+    # ``euler`` is the family's 2g-2 plus legs; ``base(k)`` is the value where
+    # string and dilaton do not apply (see _step).  k is a _key.  Pending
+    # steps wait on an explicit stack, so the depth is not bounded by
+    # Python's recursion limit.
     value = (memo.get(family) or {}).get(k)
     if value is not None:
         return value
@@ -214,17 +210,15 @@ def _string_dilaton(memo: dict, family: object, euler: int,
     return value
 
 
-def _step(table: dict, euler: int, base: Callable, k: str):
+def _step(table: dict, euler: int, base: Callable[[str], int], k: str):
     # One induction step on a _key: yields each smaller key missing from
-    # ``table`` and is sent its value.
-    value = base(k)
-    if value is not None:
-        return value
+    # ``table`` and is sent its value.  String and dilaton apply where a point of
+    # exponent 0 or 1 can be forgotten and leave a stable space, else base(k).
+    if not k or k[-1] > "\1" or euler + len(k) < 2:
+        return base(k)
     rest = k[:-1]
     if k[-1] != "\0":
-        # Off the base, no zero part means a last exponent of 1 (in genus 1
-        # with matched degree: all ones), so the dilaton equation applies:
-        # the factor is euler+n counted after forgetting the point.
+        # Dilaton equation: the factor is euler+n counted after forgetting the point.
         value = table.get(rest)
         return (euler - 1 + len(k)) * ((yield rest) if value is None else value)
     # String equation: forget a point with exponent 0 and redistribute one

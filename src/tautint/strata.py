@@ -19,12 +19,11 @@ V^n strata one by one; both read the same memoized vertex factors.
 A psi decoration on a half-edge means the psi class at that point on the
 vertex's own moduli space.  That class is pulled back from the vertex's space
 without the marks, so every vertex factor, decorated or not, obeys the string
-and dilaton laws over its marks, and the psi engine runs them down to the
-inputs with no marks or every exponent >= 2.  There a unit decoration's
-boundary corrections (the divisors where the point bubbles off with new
-marks) vanish by degree, so the factor is the plain psi integral.
-Decorations of total degree >= 2 on one vertex would need products of
-boundary divisors.
+and dilaton laws over its marks, which the psi engine runs down to where they
+stop.  There a unit decoration's boundary corrections (the divisors where the
+point bubbles off with new marks) vanish by degree, so the factor is the plain
+psi integral.  Decorations of total degree >= 2 on one vertex would need
+products of boundary divisors.
 
 A graph builds its per-vertex fixed exponents once, on construction, so
 ``fixed_exponents`` and ``valence`` answer without a scan.  A graph is
@@ -354,7 +353,7 @@ def builtin_graph(name: str) -> DualGraph:
     """Look up one of the named built-in graphs (delta, delta0, gamma-psi)."""
     try:
         return BUILTIN_GRAPHS[name]()
-    except KeyError:
+    except (KeyError, TypeError):  # an unhashable name is unknown too
         raise KeyError(f"unknown graph {name!r}; choices: {', '.join(sorted(BUILTIN_GRAPHS))}")
 
 
@@ -413,18 +412,15 @@ def _factor_value(genus: int, fixed: Exponents, assigned: str) -> int:
 
     The fixed points' psi classes, a decoration's too, come from the vertex's
     space without the marks, so the string law runs over the marks alone and
-    the dilaton factor counts every special point, down to the inputs with no
-    marks or every exponent >= 2.  There the factor is the plain psi integral.
-    Memoized in the graph-recursion memo, in the family (genus, fixed),
-    which the engine probes first.
+    the dilaton factor counts every special point.  Where the engine stops,
+    the factor is the plain psi integral.  Memoized in the graph-recursion
+    memo, in the family (genus, fixed), which the engine probes first.
     """
-    def base(k: str) -> int | None:
+    def base(k: str) -> int:
         # A decoration's boundary corrections vanish here: a genus-0
         # bubble holding the decorated point, the node and marks S has
         # dimension |S| - 1, but S brings degree >= 2|S|.
-        if not k or k[-1] > "\1":  # the marks' and the fixed points' parts in one key
-            return _scaled(genus, "".join(sorted(k + _key(fixed), reverse=True)))
-        return None
+        return _scaled(genus, "".join(sorted(k + _key(fixed), reverse=True)))
 
     euler = 2 * genus - 2 + len(fixed)
     return _string_dilaton(_GRAPH_MEMO, (genus, fixed), euler, base, assigned)
@@ -575,15 +571,12 @@ def _recursive(graph: DualGraph, exponents: Exponents) -> Fraction:
     # The memo holds the ints 24^G * value, as _orbit_sum returns them.  A
     # heavy decoration is refused up front, as the steps may never reach the
     # orbit core's refusal: (1,) and (0,) step straight down to k = ().
-    def base(k: str) -> int | None:
-        return _orbit_sum(graph, k) if not k or k[-1] > "\1" else None
-
     try:
         k = _key(exponents)
     except ValueError:  # a part beyond chr's range, refused as psi_integral refuses it
         raise _too_costly(len(exponents)) from None
     _vertices(graph, k)
-    scaled = _string_dilaton(_GRAPH_MEMO, graph, 2 + len(graph.legs), base, k)
+    scaled = _string_dilaton(_GRAPH_MEMO, graph, 2 + len(graph.legs), lambda key: _orbit_sum(graph, key), k)
     return Fraction(scaled, 24 ** sum(graph.genera))
 
 
@@ -662,6 +655,8 @@ def expression_integral(expression: StrataExpression, exponents: Iterable[int] =
     """Pullback integral of a strata expression: the pullback distributes
     over the linear combination.  Refuses as :func:`pullback_integral` does,
     each term's graph in turn, so a one-term expression refuses as its graph."""
+    if not isinstance(expression, StrataExpression):
+        raise TypeError(f"expected a StrataExpression, got {type(expression).__name__}")
     k = tuple(exponents)
     try:  # key-first, as in pullback_integral
         key = _key(k)
@@ -694,6 +689,8 @@ _LINE_KINDS = {
 
 def parse_graph(text: str) -> DualGraph:
     """Parse the graph literal format described in the module docstring."""
+    if not isinstance(text, str):
+        raise TypeError(f"graph text must be a str, got {type(text).__name__}")
     genera: list[int] = []
     edges: list[tuple[tuple[int, int], tuple[int, int]]] = []
     legs: list[tuple[str, int, int]] = []
@@ -735,9 +732,12 @@ def parse_graph(text: str) -> DualGraph:
 
 
 def format_graph(graph: DualGraph) -> str:
-    """Render a graph in the literal format; parse_graph round-trips it."""
-    if not isinstance(graph, DualGraph):
-        raise InvalidGraphError(validate_graph(graph))
+    """Render a graph in the literal format; parse_graph round-trips it.
+    Raises InvalidGraphError for a graph the format cannot hold."""
+    report = validate_graph(graph)  # a negative genus, disconnected or unstable graph is written
+    unwritable = {"not-a-graph", "empty", "bad-vertex-ref", "negative-psi", "duplicate-leg-label"}
+    if unwritable & {violation.kind for violation in report.violations}:
+        raise InvalidGraphError(report)
     lines = [f"v{i} genus={g}" for i, g in enumerate(graph.genera)]
     next_slot = [0] * graph.vertex_count
 

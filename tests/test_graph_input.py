@@ -6,8 +6,10 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import CHAIN3, DECORATED_DELTA, GAMMA_1_PSI, GRAPHS, LEGGED_DECO, THETA, legged_chain
 from tautint.cli import main
-from tautint.strata import DualGraph, GraphParseError, format_graph, parse_graph, validate_graph
+from tautint.strata import (BUILTIN_GRAPHS, DualGraph, GraphParseError, InvalidGraphError, format_graph,
+                            parse_graph, validate_graph)
 
 LONG = "1" * 5000  # more digits than int() converts from a str
 
@@ -117,6 +119,44 @@ class TestLineGrammar:
     def test_negative_genus_reaches_validation(self):
         report = validate_graph(parse_graph("v0 genus=-1\nleg a v0\nleg b v0\nleg c v0\n"))
         assert [v.kind for v in report.violations] == ["negative-genus"]
+
+
+class TestFormatGraph:
+    """format_graph writes text that parse_graph reads back to an equal graph,
+    or refuses a graph the format cannot hold."""
+
+    UNWRITABLE = {
+        "edge-end-past-last-vertex": DualGraph((1,), ((0, 0), (0, 3))),
+        "edge-end-at-v-1": DualGraph((1, 0), ((0, 1), (-1, 1))),
+        "leg-at-v5": DualGraph((1, 0), ((0, 1), (1, 1)), (("x", 5),)),
+        "negative-psi": DualGraph((1,), (((0, -1), (0, 0)),)),
+        "repeated-leg-label": DualGraph((1, 0), ((0, 1), (1, 1)), (("x", 1), ("x", 0))),
+        "empty": DualGraph(()),
+        "not-a-graph": "delta",
+    }
+    WRITABLE = {
+        "negative-genus": DualGraph((-1,), (), (("a", 0), ("b", 0), ("c", 0))),
+        "disconnected": DualGraph((1, 1), (), (("a", 0), ("b", 1))),
+        "unstable-vertex": DualGraph((0,)),
+        **{name: builder() for name, builder in BUILTIN_GRAPHS.items()},
+        **{f"kit-{name}": DualGraph(*data) for name, data in GRAPHS.items()},
+        "legged-deco": DualGraph(*LEGGED_DECO),
+        "decorated-delta": DualGraph(*DECORATED_DELTA),
+        "chain3": DualGraph(*CHAIN3),
+        "theta": DualGraph(*THETA),
+        "gamma-1-psi": DualGraph(*GAMMA_1_PSI),
+        "legged-chain-6": DualGraph(*legged_chain(6)),
+    }
+
+    @pytest.mark.parametrize("graph", UNWRITABLE.values(), ids=UNWRITABLE)
+    def test_unwritable_graph_is_refused(self, graph):
+        with pytest.raises(InvalidGraphError) as raised:
+            format_graph(graph)
+        assert raised.value.report == validate_graph(graph)
+
+    @pytest.mark.parametrize("graph", WRITABLE.values(), ids=WRITABLE)
+    def test_writable_graph_round_trips(self, graph):
+        assert parse_graph(format_graph(graph)) == graph
 
 
 # Text over the format's own alphabet and keywords, with some whole lines so

@@ -14,7 +14,7 @@ from tautint.psi import ModuliIndex, psi_integral
 from tautint.strata import gamma_psi_graph, pullback_integral, validate_graph
 
 # Module-level dicts that are tables of constants, not memos.
-CONSTANT_TABLES = [psi._BASE, strata.BUILTIN_GRAPHS, strata._LINE_KINDS,
+CONSTANT_TABLES = [strata.BUILTIN_GRAPHS, strata._LINE_KINDS,
                    identities._LAMBDA2_EXPRESSIONS]
 
 

@@ -5,9 +5,10 @@ import re
 
 import pytest
 
-from tautint.arith import multinomial
+from tautint.arith import format_rational, multinomial
 from tautint.identities import lambda_g_prediction, pullback_delta_closed
-from tautint.strata import DualGraph, Violation, builtin_graph, validate_graph
+from tautint.strata import (DualGraph, Violation, builtin_graph, expression_integral, parse_graph,
+                            validate_graph)
 
 
 def test_multinomial_refuses_negative_n():
@@ -41,3 +42,21 @@ def test_validate_graph_reports(graph, violations):
 def test_unknown_builtin_graph_names_the_choices():
     with pytest.raises(KeyError, match=re.escape("unknown graph 'nope'; choices: delta, delta0, gamma-psi")):
         builtin_graph("nope")
+
+
+@pytest.mark.parametrize("name", [["x"], {"delta": 1}], ids=["list", "dict"])
+def test_unhashable_builtin_graph_name_is_unknown(name):
+    with pytest.raises(KeyError, match=re.escape(f"unknown graph {name!r}; choices: delta, delta0, gamma-psi")):
+        builtin_graph(name)
+
+
+@pytest.mark.parametrize("call, argument", [
+    (lambda value: expression_integral(value, (2,)), "x"),
+    (parse_graph, 5),
+    (parse_graph, b"v0 genus=1"),
+    (format_rational, 1.5),
+    (format_rational, "1"),
+], ids=["expression-str", "graph-text-int", "graph-text-bytes", "rational-float", "rational-str"])
+def test_wrong_type_is_a_type_error_naming_it(call, argument):
+    with pytest.raises(TypeError, match=f", got {type(argument).__name__}$"):
+        call(argument)

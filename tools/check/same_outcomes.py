@@ -6,7 +6,9 @@ For this checkout and for PARENT_DIR, each with its own ``src/`` on
 line) and ``python -m tautint.cli`` on each argument list of ``CLI_RUNS``:
 ``verify`` four times (CSV ``--n-max 10``, CSV ``--n-max 18 --hard``, text
 ``--n-max 10`` and JSON ``--n-max 8``), ``-h`` of the program and of each
-subcommand, and six usage errors.  A CLI run is read as the md5 of its stdout
+subcommand, six usage errors, and ``psi`` six times (a 27-mark genus-0
+monomial, a genus-1 value, two degree mismatches, one with a part beyond
+``chr``'s range, 50 ones in genus 1 and a staircase refused as too costly).  A CLI run is read as the md5 of its stdout
 and of its stderr with its exit code, under ``COLUMNS=80``, as argparse wraps
 at the terminal width.  It prints one row per check, ``same`` or
 ``DIFFERENT``, and exits 1 on any difference.  Where a seed's outcomes
@@ -38,6 +40,12 @@ CLI_RUNS = {
     "verify --n-max +2": ["verify", "--n-max", "+2"],
     "psi --genus x --k 1": ["psi", "--genus", "x", "--k", "1"],
     "lambda2 --k 2,+0": ["lambda2", "--k", "2,+0"],
+    "psi 27 marks in genus 0": ["psi", "--genus", "0", "--k", "6,5,4,3,2,1,1,1,1" + ",0" * 18],
+    "psi --genus 1 --k 2,1,0": ["psi", "--genus", "1", "--k", "2,1,0"],
+    "psi --genus 0 --k 5,0,0": ["psi", "--genus", "0", "--k", "5,0,0"],
+    "psi --genus 0 --k 2000000,0,0": ["psi", "--genus", "0", "--k", "2000000,0,0"],
+    "psi 50 ones in genus 1": ["psi", "--genus", "1", "--k", ",".join("1" * 50)],
+    "psi staircase 18..1, 156 zeros": ["psi", "--genus", "0", "--k", ",".join(map(str, range(18, 0, -1))) + ",0" * 156],
 }
 
 
