@@ -34,7 +34,9 @@ of the marks (``psi._key``) once per call, and that is the integer check;
 the pullback memo is keyed ``(graph, key)``, and the same key goes on to the
 orbit core, which splits its runs over the vertices: its distinct
 characters, descending, always ending in the 1 run and the 0 run, of count 0
-where the key has none, so every split has one count per run.  An input the
+where the key has none.  The marks a split leaves are keyed by their own memo
+key, which the next vertex counts its runs in and the last vertex's factor
+is read under.  An input the
 key refuses goes to one refusal, for the pullback's graph or the
 expression's graphs, which names the error in the public order (the order
 :func:`stratum_terms` checks in too), else answers a part beyond ``chr``'s
@@ -78,7 +80,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .arith import Exponents, _as_ints, _nonnegative
+from .arith import Exponents, _as_ints, _nonnegative, format_rational
 from .psi import (_GRAPH_MEMO, _MEMOS, ModuliIndex, UnsupportedGenusError, _key, _scaled,
                   _string_dilaton, _too_costly, clear_cache)
 
@@ -256,7 +258,8 @@ class GraphParseError(ValueError):
 
 
 def validate_graph(graph: DualGraph) -> ValidationReport:
-    """Check every dual-graph invariant; failures are reported, not raised."""
+    """Check every dual-graph invariant; failures are reported, not raised.
+    Graph numbers are written through Decimal, past str()'s digit limit too."""
     if not isinstance(graph, DualGraph):
         return ValidationReport((Violation("not-a-graph", f"expected a DualGraph, got {graph!r}"),))
     problems: list[Violation] = []
@@ -266,20 +269,24 @@ def validate_graph(graph: DualGraph) -> ValidationReport:
 
     for i, g in enumerate(graph.genera):
         if g < 0:
-            problems.append(Violation("negative-genus", f"vertex v{i} has genus {g}"))
+            problems.append(Violation("negative-genus", f"vertex v{i} has genus {format_rational(g)}"))
 
     for edge in graph.edges:
-        for end in edge:
-            if not 0 <= end.vertex < nv:
-                problems.append(Violation("bad-vertex-ref", f"edge end references v{end.vertex}"))
-            if end.psi < 0:
-                problems.append(Violation("negative-psi", f"edge end at v{end.vertex} has psi={end.psi}"))
+        for vertex, psi in edge:
+            if not 0 <= vertex < nv:
+                problems.append(Violation(
+                    "bad-vertex-ref", f"edge end references v{format_rational(vertex)}"))
+            if psi < 0:
+                problems.append(Violation(
+                    "negative-psi", f"edge end at v{format_rational(vertex)} has psi={format_rational(psi)}"))
     seen_labels: set[str] = set()
     for leg in graph.legs:
         if not 0 <= leg.vertex < nv:
-            problems.append(Violation("bad-vertex-ref", f"leg {leg.label!r} references v{leg.vertex}"))
+            problems.append(Violation(
+                "bad-vertex-ref", f"leg {leg.label!r} references v{format_rational(leg.vertex)}"))
         if leg.psi < 0:
-            problems.append(Violation("negative-psi", f"leg {leg.label!r} has psi={leg.psi}"))
+            problems.append(Violation(
+                "negative-psi", f"leg {leg.label!r} has psi={format_rational(leg.psi)}"))
         if leg.label in seen_labels:
             problems.append(Violation("duplicate-leg-label", f"leg label {leg.label!r} repeats"))
         seen_labels.add(leg.label)
@@ -298,7 +305,7 @@ def validate_graph(graph: DualGraph) -> ValidationReport:
         if g > 1:
             problems.append(Violation(
                 "unsupported-genus",
-                f"vertex v{i} has genus {g}; evaluable vertices have genus <= 1",
+                f"vertex v{i} has genus {format_rational(g)}; evaluable vertices have genus <= 1",
             ))
     return ValidationReport(tuple(problems))
 
@@ -320,9 +327,11 @@ def _component_count(graph: DualGraph) -> int:
 
 
 def total_genus(graph: DualGraph) -> int:
-    """Sum of vertex genera plus the graph's first Betti number."""
-    if not isinstance(graph, DualGraph):
-        raise InvalidGraphError(validate_graph(graph))
+    """Sum of vertex genera plus the graph's first Betti number.  Raises
+    InvalidGraphError for a non-graph or a reference to a missing vertex."""
+    report = validate_graph(graph)
+    if {"not-a-graph", "bad-vertex-ref"} & {violation.kind for violation in report.violations}:
+        raise InvalidGraphError(report)
     betti = len(graph.edges) - graph.vertex_count + _component_count(graph)
     return sum(graph.genera) + betti
 
@@ -446,7 +455,8 @@ def _vertices(graph: DualGraph, k: Sequence = ()) -> tuple[tuple[int, Exponents]
             if all(v.kind == "unsupported-genus" for v in report.violations):
                 raise UnsupportedGenusError(str(report))
             raise InvalidGraphError(report)
-        genus = total_genus(graph)
+        # total_genus, without validating again: a valid graph is connected.
+        genus = sum(graph.genera) + len(graph.edges) - graph.vertex_count + 1
         if genus != 2:
             raise ValueError(f"graph has total genus {genus}; the evaluator covers genus 2")
         vertices = _CHECKED[graph] = tuple((g, graph.fixed_exponents(v))
@@ -502,31 +512,33 @@ def _orbit_cost(marks: int, vertex_count: int, counts: tuple[int, ...]) -> int:
     return marks * (vertex_count * subsets + max(vertex_count - 2, 0) * pairs)
 
 
-def _peel(vertices: Sequence[tuple[int, Exponents]], chars: Sequence[str], counts: tuple[int, ...]) -> int:
+def _peel(vertices: Sequence[tuple[int, Exponents]], chars: str, k: str) -> int:
     # Sum over the ways each distinct exponent's multiplicity splits over the
     # (genus, fixed) vertices, weighted by the mark assignments in the split,
     # of the product of vertex factors: the int 24^G * value, G the sum of
-    # the genera.  ``chars`` and ``counts`` are the runs of the marks' memo
-    # key as _runs lays them out, ending in the 1 run and the 0 run.
+    # the genera.  ``k`` is the marks' memo key and ``chars`` its runs'
+    # characters as _runs lays them out, ending in the 1 run and the 0 run.
     # Vertices are peeled one at a time, and splits that leave the same marks
-    # share that remainder's sum.  The caller matches the total degree, so
-    # the last vertex takes every mark left.  A vertex's marks are keyed by
-    # repeating each character by its count.  Each split of the runs other
-    # than the 1s builds its key head and tail, remainder prefix and weight
-    # once; the 1s, which it may take any count of, go in between.  Factors
-    # are read from the vertex's family in the graph-recursion memo, fetched
-    # once per vertex (empty if the family is not made yet), and
-    # _factor_value computes a miss.
+    # share that remainder's sum.  Each state is keyed by the memo key of the
+    # marks it leaves, so the last vertex, which takes every mark left as the
+    # caller matches the total degree, probes its family with the state's key.
+    # A set of marks is keyed by repeating each character by its count.  Each
+    # split of the runs other than the 1s builds its key head and tail, the
+    # remainder's head and tail, and its weight once; the 1s, which it may
+    # take any count of, go in between.  Factors are read from the vertex's
+    # family in the graph-recursion memo, fetched once per vertex (empty if
+    # the family is not made yet), and _factor_value computes a miss.
     heads, weights = chars[:-2], [ord(c) - 1 for c in chars[:-2]]
-    states = {counts: 1}  # marks left -> weighted sum so far
+    states = {k: 1}  # memo key of the marks left -> weighted sum so far
     for vertex in vertices[:-1]:
         need, family = _excess(*vertex), _GRAPH_MEMO.get(vertex, {})
-        reached: dict[tuple[int, ...], int] = {}
+        reached: dict[str, int] = {}
         for left, total in states.items():
-            *big, ones, zeros = left
+            *big, ones, zeros = map(left.count, chars)
             for taken, drop in _sub_multisets(big, weights, need, zeros):
                 head, tail = "".join(map(operator.mul, heads, taken)), "\0" * drop
-                prefix = tuple(map(operator.sub, big, taken))
+                rest_head = "".join(map(operator.mul, heads, map(operator.sub, big, taken)))
+                rest_tail = "\0" * (zeros - drop)
                 scale = total * math.prod(map(math.comb, big, taken)) * math.comb(zeros, drop)
                 for one in range(ones + 1):
                     key = head + "\1" * one + tail
@@ -534,15 +546,14 @@ def _peel(vertices: Sequence[tuple[int, Exponents]], chars: Sequence[str], count
                     if factor is None:
                         factor = _factor_value(*vertex, key)
                     if factor:
-                        rest = prefix + (ones - one, zeros - drop)
+                        rest = rest_head + "\1" * (ones - one) + rest_tail
                         reached[rest] = reached.get(rest, 0) + scale * math.comb(ones, one) * factor
         states = reached
     vertex, total = vertices[-1], 0
     family = _GRAPH_MEMO.get(vertex, {})
     for left, weight in states.items():
-        key = "".join(map(operator.mul, chars, left))
-        factor = family.get(key)
-        total += weight * (_factor_value(*vertex, key) if factor is None else factor)
+        factor = family.get(left)
+        total += weight * (_factor_value(*vertex, left) if factor is None else factor)
     return total
 
 
@@ -560,7 +571,7 @@ def _orbit_sum(graph: DualGraph, k: str) -> int:
             f"pullback over {len(vertices)} vertices with {len(k)} marks is too "
             f"costly: estimated cost {cost} exceeds the limit {MAX_ORBIT_COST}"
         )
-    return _peel(vertices, chars, counts)
+    return _peel(vertices, chars, k)
 
 
 def _recursive(graph: DualGraph, exponents: Exponents) -> Fraction:
@@ -733,12 +744,12 @@ def parse_graph(text: str) -> DualGraph:
 
 def format_graph(graph: DualGraph) -> str:
     """Render a graph in the literal format; parse_graph round-trips it.
-    Raises InvalidGraphError for a graph the format cannot hold."""
+    Raises InvalidGraphError for a graph the format cannot hold, or whose
+    genus or psi has more digits than parse_graph reads."""
     report = validate_graph(graph)  # a negative genus, disconnected or unstable graph is written
     unwritable = {"not-a-graph", "empty", "bad-vertex-ref", "negative-psi", "duplicate-leg-label"}
     if unwritable & {violation.kind for violation in report.violations}:
         raise InvalidGraphError(report)
-    lines = [f"v{i} genus={g}" for i, g in enumerate(graph.genera)]
     next_slot = [0] * graph.vertex_count
 
     def half_edge(end: EdgeEnd) -> str:
@@ -746,16 +757,21 @@ def format_graph(graph: DualGraph) -> str:
         next_slot[end.vertex] += 1
         return f"v{end.vertex}.h{slot}"
 
-    for edge in graph.edges:
-        line = f"e {half_edge(edge.a)} {half_edge(edge.b)}"
-        if edge.b.psi:
-            line += f" psi={edge.a.psi},{edge.b.psi}"
-        elif edge.a.psi:
-            line += f" psi={edge.a.psi}"
-        lines.append(line)
-    for leg in graph.legs:
-        line = f"leg {leg.label} v{leg.vertex}"
-        if leg.psi:
-            line += f" psi={leg.psi}"
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+    try:  # str() refuses a number past the digit limit, as parse_graph's int() does
+        lines = [f"v{i} genus={g}" for i, g in enumerate(graph.genera)]
+        for edge in graph.edges:
+            line = f"e {half_edge(edge.a)} {half_edge(edge.b)}"
+            if edge.b.psi:
+                line += f" psi={edge.a.psi},{edge.b.psi}"
+            elif edge.a.psi:
+                line += f" psi={edge.a.psi}"
+            lines.append(line)
+        for leg in graph.legs:
+            line = f"leg {leg.label} v{leg.vertex}"
+            if leg.psi:
+                line += f" psi={leg.psi}"
+            lines.append(line)
+        return "\n".join(lines) + "\n"
+    except ValueError:
+        too_long = Violation("too-many-digits", "a genus or psi is past Python's int-to-str digit limit")
+        raise InvalidGraphError(ValidationReport(report.violations + (too_long,))) from None

@@ -104,3 +104,13 @@ def test_graph_helpers_refuse_what_is_not_a_dual_graph(graph):
     for helper in (strata.total_genus, strata.format_graph):
         with pytest.raises(InvalidGraphError, match="^not-a-graph: expected a DualGraph, got "):
             helper(graph)
+
+
+@pytest.mark.parametrize("graph", [DualGraph((1,), ((0, 0), (0, 3))), DualGraph((1, 0), ((0, 1), (-1, 1)))],
+                         ids=["edge-end-past-last-vertex", "edge-end-at-v-1"])
+def test_total_genus_refuses_a_reference_to_a_missing_vertex(graph):
+    # Not an IndexError, nor v-1 read as the last vertex by Python's negative index.
+    with pytest.raises(InvalidGraphError) as raised:
+        strata.total_genus(graph)
+    assert raised.value.report == validate_graph(graph)
+    assert "bad-vertex-ref" in {violation.kind for violation in raised.value.report.violations}

@@ -1,6 +1,7 @@
 """Robustness of graph input: the three-line graph literal grammar and the
 shapes of DualGraph's edge, edge-end and leg entries."""
 
+import itertools
 import re
 
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import CHAIN3, DECORATED_DELTA, GAMMA_1_PSI, GRAPHS, LEGGED_DECO, THETA, legged_chain
 from tautint.cli import main
-from tautint.strata import (BUILTIN_GRAPHS, DualGraph, GraphParseError, InvalidGraphError, format_graph,
-                            parse_graph, validate_graph)
+from tautint.psi import UnsupportedGenusError
+from tautint.strata import (BUILTIN_GRAPHS, DualGraph, GraphParseError, InvalidGraphError, StrataExpression,
+                            expression_integral, format_graph, parse_graph, pullback_integral, stratum_terms,
+                            validate_graph)
 
 LONG = "1" * 5000  # more digits than int() converts from a str
 
@@ -175,3 +178,42 @@ def test_literal_text_parses_or_raises_parse_error(text):
     except GraphParseError:
         return
     assert parse_graph(format_graph(graph)) == graph
+
+
+class TestNumbersPastTheDigitLimit:
+    """A graph number with more digits than str() writes is reported in
+    Decimal, and each edge refuses the graph as any other such graph."""
+
+    HUGE = 10 ** 5000
+    CASES = {
+        "huge-genus": (DualGraph((HUGE,), ((0, 0),)), "unsupported-genus", UnsupportedGenusError),
+        "leg-at-huge-vertex": (DualGraph((1,), ((0, 0),), (("x", HUGE),)), "bad-vertex-ref",
+                               InvalidGraphError),
+    }
+
+    @pytest.mark.parametrize("graph, kind, error", CASES.values(), ids=CASES)
+    def test_report_writes_every_digit(self, graph, kind, error):
+        (violation,) = validate_graph(graph).violations
+        assert violation.kind == kind
+        assert "1" + "0" * 5000 in violation.message
+
+    @pytest.mark.parametrize("graph, kind, error", CASES.values(), ids=CASES)
+    def test_evaluators_refuse_as_for_any_such_graph(self, graph, kind, error):
+        calls = [lambda k: pullback_integral(graph, k), lambda k: list(stratum_terms(graph, k)),
+                 lambda k: expression_integral(StrataExpression(((1, graph),)), k)]
+        for call, k in itertools.product(calls, [(), (2,), (2, 1, 0)]):
+            with pytest.raises(error) as raised:
+                call(k)
+            assert str(raised.value) == str(validate_graph(graph))
+
+    @pytest.mark.parametrize("graph, kind, error", CASES.values(), ids=CASES)
+    def test_format_graph_refuses_what_parse_graph_cannot_read(self, graph, kind, error):
+        with pytest.raises(InvalidGraphError) as raised:
+            format_graph(graph)
+        assert kind in {violation.kind for violation in raised.value.report.violations}
+
+    def test_format_graph_refuses_a_huge_psi_on_a_valid_graph(self):
+        graph = DualGraph((1,), (((0, self.HUGE), (0, 0)),))
+        assert validate_graph(graph).ok
+        with pytest.raises(InvalidGraphError, match="^too-many-digits: "):
+            format_graph(graph)

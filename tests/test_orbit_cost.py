@@ -7,6 +7,10 @@ multiplicities of k only.  Inputs on decorated graphs that the old
 decoration term refused now run, and the next sizes up are still refused
 before any vertex factor is evaluated."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from oracles import DECORATED_DELTA, LEGGED_DECO
@@ -42,3 +46,14 @@ def test_larger_decorated_inputs_refused_before_any_work(graph, k, monkeypatch):
     with pytest.raises(ValueError, match="too costly"):
         pullback_integral(graph, k)
 
+
+def test_orbit_cost_tool_times_one_shape():
+    # tools/check/orbit_cost.py calls strata._peel itself, and its child exits
+    # 1 if that call's sum is not _orbit_sum's; on the 55-mark decorated
+    # delta it prints the cold s, warm ms and peak RSS MB.
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, str(root / "tools" / "check" / "orbit_cost.py"), "--child", "1"],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    cold, warm, rss = map(float, run.stdout.split())
+    assert cold >= 0 and warm >= 0 and rss > 0

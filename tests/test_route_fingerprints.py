@@ -83,3 +83,22 @@ def test_the_induction_takes_stratum_sums_at_its_base_only():
     keys = [detail for _, name, detail in calls if name == "_orbit_sum"]
     assert ("tautint.psi", "_string_dilaton", identities._DELTA_GRAPH) in calls
     assert keys and all(part >= "\2" for key in keys for part in key)
+
+
+def test_the_peel_splits_the_1s_over_the_vertices(monkeypatch):
+    # delta's pullback sums each 1 on either vertex, as it does every other
+    # exponent, and never collapses the 1s by the graph's dilaton law, which
+    # delta_recursive checks it against.
+    asked = []
+    factor_value = strata._factor_value
+
+    def record(genus, fixed, assigned):
+        asked.append((genus, assigned))
+        return factor_value(genus, fixed, assigned)
+
+    strata.clear_cache()
+    monkeypatch.setattr(strata, "_factor_value", record)
+    for n, k in ROWS:
+        strata.pullback_integral(strata.delta_graph(), k)
+    assert any("\1" in key for genus, key in asked if genus == 1)
+    assert any("\1" in key for genus, key in asked if genus == 0)

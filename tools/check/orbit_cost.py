@@ -6,7 +6,9 @@ whether ``pullback_integral`` accepts it (estimate at most
 with the guard lifted: ``strata._peel`` over the graph's vertices, run in a
 fresh interpreter so that every memo starts empty.  The warm time is a second
 ``_peel`` on the same shape with the memos full: the peel's own walk, without
-the psi engine's fills.  README's cost table is made from this output::
+the psi engine's fills.  The child then checks the sum against
+``strata._orbit_sum`` and exits 1 if they differ.  README's cost table is
+made from this output::
 
     PYTHONPATH=src python3 tools/check/orbit_cost.py
 
@@ -14,6 +16,7 @@ Peak RSS is the child's whole process (``ru_maxrss``), interpreter included.
 """
 
 import argparse
+import math
 import resource
 import subprocess
 import sys
@@ -50,9 +53,9 @@ SHAPES = [  # (name, graph, counts), k of degree matched to the graph
 ]
 
 
-def runs(counts: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
-    # The shape's k laid out as the orbit core takes it: strata._runs of its memo key.
-    return strata._runs(psi._key([value for value, count in zip(VALUES, counts) for _ in range(count)]))
+def memo_key(counts: tuple[int, ...]) -> str:
+    # The memo key of the shape's k, as the orbit core takes it.
+    return psi._key([value for value, count in zip(VALUES, counts) for _ in range(count)])
 
 
 def measure(shape: int) -> None:
@@ -62,9 +65,16 @@ def measure(shape: int) -> None:
     seconds = []
     for _ in range(2):
         started = time.perf_counter()
-        strata._peel(vertices, *runs(counts))
+        k = memo_key(counts)
+        total = strata._peel(vertices, strata._runs(k)[0], k)
         seconds.append(time.perf_counter() - started)
-    print(f"{seconds[0]:.2f} {seconds[1] * 1000:.1f} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f}")
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    # The timed call must be the one the orbit core makes: a stale one may
+    # still run, on the wrong arguments, and time nothing.
+    strata.MAX_ORBIT_COST = math.inf
+    if total != strata._orbit_sum(graph, k):
+        sys.exit("orbit_cost: the timed _peel call disagrees with strata._orbit_sum")
+    print(f"{seconds[0]:.2f} {seconds[1] * 1000:.1f} {rss:.0f}")
 
 
 def main() -> None:
@@ -79,7 +89,7 @@ def main() -> None:
     print("|---|---|---|---|---|---|")
     for shape, (name, graph, counts) in enumerate(SHAPES):
         marks = sum(counts)
-        estimate = strata._orbit_cost(marks, graph.vertex_count, runs(counts)[1])
+        estimate = strata._orbit_cost(marks, graph.vertex_count, strata._runs(memo_key(counts))[1])
         verdict = "accepted" if estimate <= strata.MAX_ORBIT_COST else "refused"
         child = subprocess.run([sys.executable, __file__, "--child", str(shape)],
                                capture_output=True, text=True, check=True)
