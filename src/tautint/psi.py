@@ -2,10 +2,11 @@
 
 The integrals <psi_1^{k_1} ... psi_n^{k_n}> over the moduli space of stable
 n-pointed curves are computed by memoized string/dilaton recursion from the
-two base values <1>_{0,3} = 1 and <psi_1>_{1,1} = 1/24.  Every coefficient
-of those steps is an integer (a run length or the dilaton factor), so the
-engine runs on Python ints: it memoizes N = 24^g * value, starting from the
-base N = 1 in both genera, and the edge builds the one ``Fraction`` N/24^g.
+two base values <1>_{0,3} = 1 and <psi_1>_{1,1} = 1/24, forgetting a point
+of exponent 1 by dilaton before any string step.  Every coefficient of those
+steps is an integer (a run length or the dilaton factor), so the engine runs
+on Python ints: it memoizes N = 24^g * value, starting from the base N = 1 in
+both genera, and the edge builds the one ``Fraction`` N/24^g.
 The same iterative engine runs the string and dilaton laws of any class
 pulled back along the maps forgetting marks.  Keyed by a genus-2 dual graph,
 it runs a graph's forgetful pullbacks down to its stratum sum: the delta
@@ -155,8 +156,9 @@ _FREE_MARKS = 39
 def _fitting_partitions(k: Exponents, limit: int) -> int:
     # The partitions whose diagram fits inside that of k (sorted descending),
     # counted row by row, stopping once past ``limit``.  The string and
-    # dilaton steps only lower parts and drop zeros, so every memo entry
-    # under k is one of them, padded with zeros to its degree-matched length.
+    # dilaton steps only lower parts and drop zeros and ones, so every memo
+    # entry under k is one of them, padded with zeros to its degree-matched
+    # length: an upper bound, as dilaton first leaves many of them out.
     # ways[v]: the choices of the rows so far whose last row is v, starting
     # from a virtual row k[0] above the first
     ways = [0] * k[0] + [1]
@@ -214,17 +216,20 @@ def _step(table: dict, euler: int, base: Callable[[str], int], k: str):
     # One induction step on a _key: yields each smaller key missing from
     # ``table`` and is sent its value.  String and dilaton apply where a point of
     # exponent 0 or 1 can be forgotten and leave a stable space, else base(k).
+    # Both hold there, so a point of exponent 1 goes first: dilaton has one term.
     if not k or k[-1] > "\1" or euler + len(k) < 2:
         return base(k)
-    rest = k[:-1]
-    if k[-1] != "\0":
+    if "\1" in k:
         # Dilaton equation: the factor is euler+n counted after forgetting the point.
+        rest = k.replace("\1", "", 1)
         value = table.get(rest)
         return (euler - 1 + len(k)) * ((yield rest) if value is None else value)
-    # String equation: forget a point with exponent 0 and redistribute one
-    # unit of exponent among the remaining points.  Equal parts give equal
-    # terms, so the string step visits runs of nonzero parts only, one jump
-    # per run, decremented at its end to stay sorted; the zeros end the walk.
+    rest = k[:-1]
+    # String equation, on a key with no 1: forget a point with exponent 0 and
+    # redistribute one unit of exponent among the remaining points.  Equal
+    # parts give equal terms, so the string step visits runs of nonzero parts
+    # only, one jump per run, decremented at its end to stay sorted; the zeros
+    # end the walk.
     total = end = 0
     size = len(rest)
     while end < size and (part := rest[end]) != "\0":

@@ -261,7 +261,11 @@ def validate_graph(graph: DualGraph) -> ValidationReport:
     """Check every dual-graph invariant; failures are reported, not raised.
     Graph numbers are written through Decimal, past str()'s digit limit too."""
     if not isinstance(graph, DualGraph):
-        return ValidationReport((Violation("not-a-graph", f"expected a DualGraph, got {graph!r}"),))
+        try:
+            shown = repr(graph)
+        except ValueError:  # an int past str()'s digit limit, alone or inside the input
+            shown = f"a {type(graph).__name__!r} object past repr()'s digit limit"
+        return ValidationReport((Violation("not-a-graph", f"expected a DualGraph, got {shown}"),))
     problems: list[Violation] = []
     nv = graph.vertex_count
     if nv == 0:

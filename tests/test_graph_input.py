@@ -12,7 +12,7 @@ from tautint.cli import main
 from tautint.psi import UnsupportedGenusError
 from tautint.strata import (BUILTIN_GRAPHS, DualGraph, GraphParseError, InvalidGraphError, StrataExpression,
                             expression_integral, format_graph, parse_graph, pullback_integral, stratum_terms,
-                            validate_graph)
+                            total_genus, validate_graph)
 
 LONG = "1" * 5000  # more digits than int() converts from a str
 
@@ -211,6 +211,17 @@ class TestNumbersPastTheDigitLimit:
         with pytest.raises(InvalidGraphError) as raised:
             format_graph(graph)
         assert kind in {violation.kind for violation in raised.value.report.violations}
+
+    @pytest.mark.parametrize("graph", [HUGE, (HUGE,), [HUGE]], ids=["int", "tuple", "list"])
+    def test_a_non_graph_past_the_limit_is_reported(self, graph):
+        (violation,) = validate_graph(graph).violations
+        assert violation.kind == "not-a-graph"
+        calls = [lambda: pullback_integral(graph, (2,)), lambda: list(stratum_terms(graph, (2,))),
+                 lambda: expression_integral(StrataExpression(((1, graph),)), (2,)),
+                 lambda: total_genus(graph), lambda: format_graph(graph)]
+        for call in calls:
+            with pytest.raises(InvalidGraphError, match="^not-a-graph: expected a DualGraph, got "):
+                call()
 
     def test_format_graph_refuses_a_huge_psi_on_a_valid_graph(self):
         graph = DualGraph((1,), (((0, self.HUGE), (0, 0)),))

@@ -23,9 +23,13 @@ def test_every_memo_key_is_an_untracked_descending_str():
     k = [0] * 22
     for _ in range(19):  # the dimension of M_{0,22}, spread over random points
         k[rng.randrange(12)] += 1
+    k1 = [0] * 22
+    for _ in range(22):  # the dimension of M_{1,22}
+        k1[rng.randrange(12)] += 1
     psi.clear_cache()
     try:
         assert psi_integral(ModuliIndex(0, 22), k) > 0
+        assert psi_integral(ModuliIndex(1, 22), k1) > 0
         assert pullback_integral(DualGraph(*LEGGED_DECO), (3, 2, 1, 1, 0, 0)) > 0
         assert pullback_delta_recursive(6, (3, 2, 1, 1, 0, 0)) > 0
         families = [*psi._CACHE, *psi._GRAPH_MEMO]
@@ -50,4 +54,4 @@ def test_outcome_digest_of_seed_1():
                           "--seed", "1"], capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == ["5184 outcomes, md5 dee4b8a1dd97d8b982aab170bac13622",
-                                       "memos, md5 068bd93740de32cfe11644a8d7cdafd8"]
+                                       "memos, md5 fb61538421a41ab50d30b02037c5d46b"]

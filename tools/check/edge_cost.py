@@ -6,7 +6,8 @@ median of ``--repeat`` timeit runs in one process:
 - ``psi_integral`` hit: a genus-0 monomial at 27 marks, shuffled, already in
   the memo;
 - ``psi_integral`` shallow miss: the same call with only its own memo entry
-  removed first, so the engine takes one string step over memoized keys (the
+  removed first, so the engine takes one step over memoized keys, the
+  dilaton step where the monomial holds a 1 and else one string step (the
   statement includes that one ``dict.pop``);
 - ``pullback_integral`` hit: ``delta_graph()`` at 10 marks, shuffled;
 - ``lambda2_integral`` hit: the eq5 form at the same 10 marks, both of its

@@ -11,9 +11,12 @@ second line gives one md5 over every memo in ``psi._MEMOS`` after the calls,
 its keys, values and insertion order, so a refactor of the evaluators can
 show that it fills the same entries in the same order::
 
-    PYTHONPATH=src python3 tools/check/outcome_digest.py [--seed N] [--verbose]
+    PYTHONPATH=src python3 tools/check/outcome_digest.py [--seed N] [--verbose] [--entries]
 
-``--verbose`` prints every outcome, one a line, for a diff.
+``--verbose`` prints every outcome, one a line, for a diff, before the two
+digest lines.  ``--entries`` adds a last line with each memo's entry count
+(a family memo counts its families' entries), to show how much a memo
+layout changed.
 """
 
 import argparse
@@ -89,6 +92,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--verbose", action="store_true")
+    parser.add_argument("--entries", action="store_true")
     args = parser.parse_args()
     graphs = {name: parse_graph(spec) if isinstance(spec, str) else DualGraph(*spec)
               for name, spec in GRAPHS.items()}
@@ -101,6 +105,9 @@ def main() -> None:
     # Memo keys and values are graphs, strings, ints, tuples and Fractions,
     # whose reprs do not depend on the process's hash seed.
     print(f"memos, md5 {hashlib.md5(repr(psi._MEMOS).encode()).hexdigest()}")
+    if args.entries:
+        counts = (sum(len(v) if isinstance(v, dict) else 1 for v in memo.values()) for memo in psi._MEMOS.values())
+        print("memo entries, " + ", ".join(f"{name} {count}" for name, count in zip(psi._MEMOS, counts)))
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ at the terminal width.  It prints one row per check, ``same`` or
 ``DIFFERENT``, and exits 1 on any difference.  Where a seed's outcomes
 differ, it reruns that seed with ``--verbose`` on both sides and prints how
 many outcome lines differ for each call, then the first three differing lines
-from each side::
+from each side.  Where a seed's memos differ, it prints each side's entry
+count per memo of ``psi._MEMOS`` for that seed::
 
     python3 tools/check/same_outcomes.py PARENT_DIR
 """
@@ -82,6 +83,13 @@ def differing_lines(mine: pathlib.Path, theirs: pathlib.Path, seed: int) -> None
         print(f"{'':<30} {'parent':<10} {'  '.join(b)}")
 
 
+def memo_entries(mine: pathlib.Path, theirs: pathlib.Path, seed: int) -> None:
+    # One seed's entry count per memo on both sides, as the digest's last line.
+    for side, checkout in (("this", mine), ("parent", theirs)):
+        lines = run(checkout, [str(DIGEST), "--seed", str(seed), "--entries"]).stdout.splitlines()
+        print(f"{'':<30} {side:<10} {(lines or ['(no line)'])[-1]}")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or not (pathlib.Path(argv[0]) / "src/tautint").is_dir():
         sys.exit("usage: same_outcomes.py PARENT_DIR (a checkout with src/tautint)")
@@ -93,6 +101,8 @@ def main(argv: list[str]) -> int:
             print(f"{'':<30} {'parent':<10} {theirs[name]}")
             if name.endswith(" outcomes"):
                 differing_lines(here, parent, int(name.split()[1]))
+            elif name.endswith(" memos"):
+                memo_entries(here, parent, int(name.split()[1]))
     return int(mine != theirs)
 
 
