@@ -151,6 +151,16 @@ def _label(label) -> str:
     return label
 
 
+def _repr(value) -> str:
+    # repr of graph data, its ints written by format_rational, past str()'s digit limit too.
+    if not isinstance(value, tuple):
+        return format_rational(value) if isinstance(value, int) else repr(value)
+    parts = list(map(_repr, value))
+    if hasattr(value, "_fields"):  # Edge, EdgeEnd or Leg
+        return type(value).__name__ + "(" + ", ".join(map("{}={}".format, value._fields, parts)) + ")"
+    return "(" + ", ".join(parts) + "," * (len(parts) == 1) + ")"
+
+
 class DualGraph:
     """A decorated dual graph, normalized so equal graphs compare equal.
 
@@ -198,8 +208,8 @@ class DualGraph:
         return self._hash
 
     def __repr__(self) -> str:
-        return (f"{type(self).__name__}(genera={self.genera!r}, edges={self.edges!r}, "
-                f"legs={self.legs!r})")
+        fields = map(_repr, (self.genera, self.edges, self.legs))
+        return "{}(genera={}, edges={}, legs={})".format(type(self).__name__, *fields)
 
     def __reduce__(self):
         # Rebuild on unpickling, as str hashes differ between processes.
@@ -502,6 +512,9 @@ def stratum_terms(graph: DualGraph, exponents: Iterable[int] = ()) -> Iterator[S
 # 0.24-0.42 s and 17 MB, about as long as delta at 105 marks (4.3e7, 0.22-0.30 s).  README
 # lists these and more, as tools/check/orbit_cost.py measures them.
 MAX_ORBIT_COST = 50_000_000
+# As c+1 <= 2^c and C(c+2,2) <= 3^c, m marks on V vertices cost at most m(V 2^m + max(V-2, 0) 3^m),
+# which is at most 21 2^21 = 4.4e7 while V m <= 21: such inputs skip the estimate.
+_FREE_ORBIT_SIZE = 21
 
 _PULLBACK_CACHE = _MEMOS["pullback"] = {}  # (graph, psi._key of the marks) -> public value
 
@@ -569,8 +582,8 @@ def _orbit_sum(graph: DualGraph, k: str) -> int:
     if sum(map(ord, k)) - len(k) != sum(_excess(g, fixed) for g, fixed in vertices):
         return 0
     chars, counts = _runs(k)
-    cost = _orbit_cost(len(k), len(vertices), counts)
-    if cost > MAX_ORBIT_COST:
+    if (len(k) * len(vertices) > _FREE_ORBIT_SIZE
+            and (cost := _orbit_cost(len(k), len(vertices), counts)) > MAX_ORBIT_COST):
         raise ValueError(
             f"pullback over {len(vertices)} vertices with {len(k)} marks is too "
             f"costly: estimated cost {cost} exceeds the limit {MAX_ORBIT_COST}"

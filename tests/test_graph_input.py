@@ -223,6 +223,19 @@ class TestNumbersPastTheDigitLimit:
             with pytest.raises(InvalidGraphError, match="^not-a-graph: expected a DualGraph, got "):
                 call()
 
+    @pytest.mark.parametrize("graph", [graph for graph, _, _ in CASES.values()]
+                             + [DualGraph((1,), (((0, HUGE), (0, 0)),))], ids=[*CASES, "huge-psi"])
+    def test_repr_and_str_write_every_digit(self, graph):
+        assert str(graph) == repr(graph)
+        assert repr(graph).count("1" + "0" * 5000) == 1
+
+    def test_repr_of_a_graph_within_the_limit_is_the_fields_repr(self):
+        graphs = [make() for make in BUILTIN_GRAPHS.values()]
+        graphs += [DualGraph(*data) for data in [*GRAPHS.values(), CHAIN3, LEGGED_DECO, ((-3,),)]]
+        for graph in graphs:
+            assert repr(graph) == (f"DualGraph(genera={graph.genera!r}, edges={graph.edges!r}, "
+                                   f"legs={graph.legs!r})")
+
     def test_format_graph_refuses_a_huge_psi_on_a_valid_graph(self):
         graph = DualGraph((1,), (((0, self.HUGE), (0, 0)),))
         assert validate_graph(graph).ok

@@ -8,13 +8,16 @@ line) and ``python -m tautint.cli`` on each argument list of ``CLI_RUNS``:
 ``--n-max 10`` and JSON ``--n-max 8``), ``-h`` of the program and of each
 subcommand, six usage errors, and ``psi`` six times (a 27-mark genus-0
 monomial, a genus-1 value, two degree mismatches, one with a part beyond
-``chr``'s range, 50 ones in genus 1 and a staircase refused as too costly).  A CLI run is read as the md5 of its stdout
-and of its stderr with its exit code, under ``COLUMNS=80``, as argparse wraps
-at the terminal width.  It prints one row per check, ``same`` or
-``DIFFERENT``, and exits 1 on any difference.  Where a seed's outcomes
-differ, it reruns that seed with ``--verbose`` on both sides and prints how
-many outcome lines differ for each call, then the first three differing lines
-from each side.  Where a seed's memos differ, it prints each side's entry
+``chr``'s range, 50 ones in genus 1 and a staircase refused as too costly),
+and ``pullback`` five times, either side of the size up to which the orbit sum
+skips its cost estimate (delta at 10 and 11 marks, delta0 at 21 and 22) and
+delta at 139 marks, refused with its estimate in the message.  A CLI run is
+read as the md5 of its stdout and of its stderr with its exit code, under
+``COLUMNS=80``, as argparse wraps at the terminal width.  It prints one row
+per check, ``same`` or ``DIFFERENT``, and exits 1 on any difference.  Where
+a seed's outcomes differ, it reruns that seed with ``--verbose`` on both
+sides and prints how many outcome lines differ for each call, then the first
+three differing lines from each side.  Where a seed's memos differ, it prints each side's entry
 count per memo of ``psi._MEMOS`` for that seed::
 
     python3 tools/check/same_outcomes.py PARENT_DIR
@@ -47,6 +50,12 @@ CLI_RUNS = {
     "psi --genus 0 --k 2000000,0,0": ["psi", "--genus", "0", "--k", "2000000,0,0"],
     "psi 50 ones in genus 1": ["psi", "--genus", "1", "--k", ",".join("1" * 50)],
     "psi staircase 18..1, 156 zeros": ["psi", "--genus", "0", "--k", ",".join(map(str, range(18, 0, -1))) + ",0" * 156],
+    "pullback delta 10 marks": ["pullback", "--graph", "delta", "--k", "2,2,2" + ",1" * 5 + ",0" * 2],
+    "pullback delta 11 marks": ["pullback", "--graph", "delta", "--k", "3,2,2" + ",1" * 5 + ",0" * 3],
+    "pullback delta0 21 marks": ["pullback", "--graph", "delta0", "--k", "5,4,3,2,2" + ",1" * 6 + ",0" * 10],
+    "pullback delta0 22 marks": ["pullback", "--graph", "delta0", "--k", "5,4,3,3,2" + ",1" * 6 + ",0" * 11],
+    "pullback delta 139 marks": ["pullback", "--graph", "delta", "--k",
+                                 ",".join(["4"] * 15 + ["3"] * 15 + ["2"] * 15 + ["1"] * 5 + ["0"] * 89)],
 }
 
 
