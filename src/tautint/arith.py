@@ -124,7 +124,9 @@ def _descending_parts(remaining: int, slots: int, bound: int) -> Iterator[Expone
         return
     if slots == 0:
         return
-    for first in range(min(remaining, bound), 0, -1):
+    # The first part is the largest, so the slots left hold the rest only
+    # from ceil(remaining / slots) up.
+    for first in range(min(remaining, bound), -(-remaining // slots) - 1, -1):
         for rest in _descending_parts(remaining - first, slots - 1, first):
             yield (first,) + rest
 
@@ -172,5 +174,7 @@ def parse_rational(text: str) -> Fraction:
     if match is None:
         return Fraction(text.strip())
     # Decimal reads every digit, as format_rational prints them.
-    numerator, denominator = match.groups()
-    return Fraction(int(Decimal(numerator)), int(Decimal(denominator or 1)))
+    numerator, denominator = (int(Decimal(part or 1)) for part in match.groups())
+    if denominator == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(numerator, denominator)

@@ -21,13 +21,7 @@ import sys
 from typing import NamedTuple
 
 from .arith import format_rational
-from .identities import (
-    LAMBDA2_METHOD_NAMES,
-    VERIFY_METHODS,
-    lambda2_closed,
-    lambda2_integral,
-    verify,
-)
+from .identities import LAMBDA2_METHOD_NAMES, VERIFY_METHODS, VERIFY_ROUTES, verify
 from .psi import ModuliIndex, psi_integral
 from .strata import (
     BUILTIN_GRAPHS,
@@ -188,12 +182,9 @@ def _cmd_pullback(args: argparse.Namespace) -> int:
 
 
 def _cmd_lambda2(args: argparse.Namespace) -> int:
-    n = len(args.k)
-    if args.method == "closed":
-        result = lambda2_closed(n, args.k)
-    else:
-        result = lambda2_integral(n, args.k, args.method)
-    return _emit(args, {"k": list(args.k), "method": args.method}, args.method, result)
+    route = dict(VERIFY_ROUTES)[f"lambda2_{args.method}"]
+    return _emit(args, {"k": list(args.k), "method": args.method}, args.method,
+                 route(len(args.k), args.k))
 
 
 def _verify_row(report) -> list[str]:

@@ -12,6 +12,13 @@ routes compute the same monomial paired with the top Chern class of the
 genus-2 Hodge bundle, whose boundary-strata decomposition reduces everything
 to the same ingredients.
 
+``VERIFY_ROUTES`` states the seven routes once, as (name, route) pairs called
+``route(n, k)``: the delta group, then the Hodge-class group.  ``verify``
+loops over it, the method tuples and the CLI's columns take their names from
+it, and the ``lambda2`` command looks its route up in it.  Each route looks up
+its function on this module when called, not at import, so a function rebound
+here (by a tracer or a test) is the one that runs.
+
 Each public function checks its input once, the routes through one partition
 check, builds at most one ``Fraction`` and calls check-free int forms of the
 multinomial and of the delta recursion.  The strata-form routes call the
@@ -49,14 +56,25 @@ __all__ = [
     "lambda_g_prediction",
     "VerificationReport",
     "verify",
+    "VERIFY_ROUTES",
     "DELTA_METHODS",
     "LAMBDA2_METHODS",
     "VERIFY_METHODS",
 ]
 
-DELTA_METHODS = ("delta_closed", "delta_recursive", "delta_brute")
-LAMBDA2_METHODS = ("lambda2_closed", "lambda2_eq5", "lambda2_eq3", "lambda_g_pred")
-VERIFY_METHODS = DELTA_METHODS + LAMBDA2_METHODS
+# The three delta routes, then the four Hodge-class routes (see the module
+# docstring); each lambda looks its function up when called.
+VERIFY_ROUTES = (
+    ("delta_closed", lambda n, k: pullback_delta_closed(n, k)),
+    ("delta_recursive", lambda n, k: pullback_delta_recursive(n, k)),
+    ("delta_brute", lambda n, k: pullback_integral(_DELTA_GRAPH, k)),
+    ("lambda2_closed", lambda n, k: lambda2_closed(n, k)),
+    ("lambda2_eq5", lambda n, k: lambda2_integral(n, k, "eq5")),
+    ("lambda2_eq3", lambda n, k: lambda2_integral(n, k, "eq3")),
+    ("lambda_g_pred", lambda n, k: lambda_g_prediction(2, n, k)),
+)
+VERIFY_METHODS = tuple(name for name, _ in VERIFY_ROUTES)
+DELTA_METHODS, LAMBDA2_METHODS = VERIFY_METHODS[:3], VERIFY_METHODS[3:]
 
 _DELTA_GRAPH = delta_graph()  # built once, as the delta routes run per partition
 
@@ -186,18 +204,10 @@ def verify(n_max: int) -> Iterator[VerificationReport]:
         raise ValueError("n_max must be a positive integer")
     for n in range(1, n_max + 1):
         for k in partitions(n + 1, n):
-            values = {
-                "delta_closed": pullback_delta_closed(n, k),
-                "delta_recursive": pullback_delta_recursive(n, k),
-                "delta_brute": pullback_integral(_DELTA_GRAPH, k),
-                "lambda2_closed": lambda2_closed(n, k),
-                "lambda2_eq5": lambda2_integral(n, k, "eq5"),
-                "lambda2_eq3": lambda2_integral(n, k, "eq3"),
-                "lambda_g_pred": lambda_g_prediction(2, n, k),
-            }
-            # Compared with ==, and the ratio cross-multiplied: no Fraction
-            # is hashed or built.
-            delta, hodge = values["delta_closed"], values["lambda2_closed"]
+            values = {name: route(n, k) for name, route in VERIFY_ROUTES}
+            # Each group is held to its first route's value, compared with ==,
+            # and the ratio cross-multiplied: no Fraction is hashed or built.
+            delta, hodge = values[DELTA_METHODS[0]], values[LAMBDA2_METHODS[0]]
             agreed = (
                 all(values[m] == delta for m in DELTA_METHODS)
                 and all(values[m] == hodge for m in LAMBDA2_METHODS)

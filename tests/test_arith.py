@@ -3,6 +3,8 @@
 import itertools
 import math
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -111,6 +113,17 @@ class TestPartitions:
         )
         assert produced == brute  # every partition once, reverse-lexicographic
 
+    def test_first_part_starts_where_the_slots_can_hold_the_rest(self):
+        # A first part below ceil(total / slots) leaves a remainder that the
+        # slots cannot hold; trying each of them would take 10**12 steps here.
+        # conftest puts src/ on PYTHONPATH, which the child inherits.
+        script = "from tautint.arith import partitions; print(list(partitions(10**12, 1)))"
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{[(10 ** 12,)]}\n"
+        assert len(list(partitions(3000, 2))) == 1501
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             list(partitions(-1, 2))
@@ -185,6 +198,11 @@ class TestRationalText:
     @pytest.mark.parametrize("text", ["", "1/-2", "1 /2", "1__0", "nan", "1.5/2"])
     def test_parse_rejects_what_fraction_rejects(self, text):
         with pytest.raises(ValueError):
+            parse_rational(text)
+
+    @pytest.mark.parametrize("text", ["1/0", "0/0", "-3/000", " 7/0_0 "])
+    def test_parse_refuses_a_zero_denominator_by_name(self, text):
+        with pytest.raises(ValueError, match=re.escape(f"zero denominator in {text!r}")):
             parse_rational(text)
 
 

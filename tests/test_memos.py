@@ -68,6 +68,25 @@ def test_one_clear_empties_every_memo(monkeypatch):
     assert checked == [gamma_psi_graph()]
 
 
+@pytest.mark.parametrize("n_max, steps", [(6, 173), (10, 835)])
+def test_each_engine_step_writes_one_entry(monkeypatch, n_max, steps):
+    # One miss, one entry: every engine step that runs is a miss and writes
+    # its key once, so the entries a cold run leaves in the engine's families
+    # count its misses.
+    ran = []
+    step = psi._step
+
+    def counted(*args):
+        ran.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(psi, "_step", counted)
+    psi.clear_cache()
+    assert all(report.agreed for report in identities.verify(n_max))
+    families = list(psi._CACHE.values()) + list(psi._GRAPH_MEMO.values())
+    assert len(ran) == sum(map(len, families)) == steps
+
+
 class TestEngineGuard:
     """The memo-size guard sits in the engine, so it bounds the psi memo, the
     vertex factors and a graph's recursion alike."""

@@ -11,7 +11,9 @@ monomial, a genus-1 value, two degree mismatches, one with a part beyond
 ``chr``'s range, 50 ones in genus 1 and a staircase refused as too costly),
 and ``pullback`` five times, either side of the size up to which the orbit sum
 skips its cost estimate (delta at 10 and 11 marks, delta0 at 21 and 22) and
-delta at 139 marks, refused with its estimate in the message.  A CLI run is
+delta at 139 marks, refused with its estimate in the message; and ``lambda2``
+five times: ``--k 2,1`` by each ``--method`` (closed, eq5, eq3), ``--k 3,1,0
+--method eq3 --json``, and ``--k 2,2``, refused for its degree.  A CLI run is
 read as the md5 of its stdout and of its stderr with its exit code, under
 ``COLUMNS=80``, as argparse wraps at the terminal width.  It prints one row
 per check, ``same`` or ``DIFFERENT``, and exits 1 on any difference.  Where
@@ -56,6 +58,10 @@ CLI_RUNS = {
     "pullback delta0 22 marks": ["pullback", "--graph", "delta0", "--k", "5,4,3,3,2" + ",1" * 6 + ",0" * 11],
     "pullback delta 139 marks": ["pullback", "--graph", "delta", "--k",
                                  ",".join(["4"] * 15 + ["3"] * 15 + ["2"] * 15 + ["1"] * 5 + ["0"] * 89)],
+    **{f"lambda2 --k 2,1 {method}": ["lambda2", "--k", "2,1", "--method", method]
+       for method in ("closed", "eq5", "eq3")},
+    "lambda2 --k 3,1,0 eq3 --json": ["lambda2", "--k", "3,1,0", "--method", "eq3", "--json"],
+    "lambda2 --k 2,2": ["lambda2", "--k", "2,2"],
 }
 
 
